@@ -61,7 +61,7 @@ int main() {
       oram::OramConfig config{.block_size = 64, .bucket_capacity = z, .capacity = 512,
                               .max_stash_blocks = 300};
       oram::OramServer server(config);
-      oram::OramClient client(server, key(), 99, oram::SealMode::kChaChaHmac);
+      oram::OramClient client(server, key(), 99);
       Random rng(7);
       for (uint64_t i = 0; i < 400; ++i) {
         client.write(crypto::keccak256(u256{i}.to_be_bytes_vec()).to_u256(), Bytes{1});
@@ -178,7 +178,7 @@ int main() {
     // Plain client: O(n) on-chip position map.
     oram::OramServer flat_server(
         oram::OramConfig{.block_size = 64, .capacity = kBlocks});
-    oram::OramClient flat(flat_server, key(), 1, oram::SealMode::kChaChaHmac);
+    oram::OramClient flat(flat_server, key(), 1);
     for (uint64_t i = 0; i < kBlocks; ++i) {
       flat.write(crypto::keccak256(u256{i}.to_be_bytes_vec()).to_u256(), Bytes{1});
     }
@@ -186,7 +186,7 @@ int main() {
     oram::RecursiveOramClient recursive(
         oram::RecursiveOramConfig{.block_size = 64, .capacity = kBlocks,
                                   .map_entries_per_block = 128},
-        key(), 2, oram::SealMode::kChaChaHmac);
+        key(), 2);
     for (uint64_t i = 0; i < kBlocks; ++i) recursive.write(i, Bytes{1});
     const uint64_t d0 = recursive.data_accesses(), m0 = recursive.map_accesses();
     for (uint64_t i = 0; i < 500; ++i) recursive.read(i % kBlocks);

@@ -53,8 +53,7 @@ inline service::PreExecutionService::Config default_service_config(
   config.security = security;
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 8192,
                                  .max_stash_blocks = 512};
-  config.seal_mode = oram::SealMode::kChaChaHmac;  // see DESIGN.md §1
-  config.perform_channel_crypto = false;           // timing from the cost models
+  config.perform_channel_crypto = false;  // timing from the cost models
   return config;
 }
 

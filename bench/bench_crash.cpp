@@ -126,7 +126,6 @@ service::EngineConfig engine_config(DurableStore* durable, SimFs* oram_fs,
     config.oram.backing_fs = oram_fs;
     config.oram.buffer_pool_pages = opts.pool_pages;
   }
-  config.seal_mode = oram::SealMode::kChaChaHmac;
   config.perform_channel_crypto = false;
   config.durable = durable;
   return config;

@@ -60,7 +60,6 @@ service::EngineConfig engine_config(obs::TraceSink* sink) {
   config.queue_depth = 16;
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 8192,
                                  .max_stash_blocks = 512};
-  config.seal_mode = oram::SealMode::kChaChaHmac;
   config.perform_channel_crypto = false;
   config.trace = sink;
   return config;
@@ -187,8 +186,7 @@ obs::AuditReport shard_store_audit(bool pin_shard_assignment) {
       oram::OramConfig{.block_size = 64, .capacity = 4096, .max_stash_blocks = 512},
       /*shard_count=*/8);
   config.pin_shard_assignment = pin_shard_assignment;
-  oram::ShardedOramStore store(config, crypto::AesKey128{}, /*rng_seed=*/0x0b5,
-                               oram::SealMode::kChaChaHmac);
+  oram::ShardedOramStore store(config, crypto::AesKey128{}, /*rng_seed=*/0x0b5);
   Random rng(0x7a1e);
   std::vector<oram::BlockId> ids;
   for (uint64_t i = 0; i < 64; ++i) {

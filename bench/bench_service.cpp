@@ -48,7 +48,6 @@ service::EngineConfig engine_config(size_t devices = kDevices) {
   config.queue_depth = 32;
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 8192,
                                  .max_stash_blocks = 512};
-  config.seal_mode = oram::SealMode::kChaChaHmac;
   config.perform_channel_crypto = false;
   return config;
 }

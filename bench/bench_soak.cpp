@@ -66,7 +66,6 @@ service::EngineConfig soak_config(int workers, faults::FaultPlan* plan) {
   config.queue_depth = 16;
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 8192,
                                  .max_stash_blocks = 512};
-  config.seal_mode = oram::SealMode::kChaChaHmac;
   config.perform_channel_crypto = false;
   config.fault_plan = plan;
   // The breaker counts CONSECUTIVE faulted attempts, which depends on how

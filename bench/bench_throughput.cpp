@@ -42,7 +42,6 @@ service::EngineConfig engine_config(int workers) {
   config.queue_depth = 16;
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 8192,
                                  .max_stash_blocks = 512};
-  config.seal_mode = oram::SealMode::kChaChaHmac;
   config.perform_channel_crypto = false;
   return config;
 }

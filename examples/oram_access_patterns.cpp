@@ -36,7 +36,7 @@ int main() {
                                            .capacity = 2048});
   crypto::AesKey128 oram_key{};
   oram_key[0] = 0x5e;
-  oram::OramClient client(server, oram_key, 7, oram::SealMode::kChaChaHmac);
+  oram::OramClient client(server, oram_key, 7);
   oram::sync_world_state(world, client);
   oram::OramWorldState oram_state(client);
 

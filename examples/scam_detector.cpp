@@ -69,7 +69,6 @@ int main() {
   service::PreExecutionService::Config config;
   config.security = service::SecurityConfig::full();
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 2048};
-  config.seal_mode = oram::SealMode::kChaChaHmac;
   service::PreExecutionService service(node, config);
   if (service.synchronize() != Status::kOk) return 1;
 

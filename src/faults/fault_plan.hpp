@@ -42,7 +42,7 @@ enum class FaultKind : uint8_t {
   kNone = 0,
   kDrop,            ///< response never arrives (the caller's timeout fires)
   kDelay,           ///< response arrives late, by a seeded SimClock amount
-  kTamper,          ///< response arrives with a broken AES-GCM/HMAC tag
+  kTamper,          ///< response arrives with a broken AES-GCM tag
   kStaleProof,      ///< node response carries a corrupted Merkle proof
   kDuplicateFrame,  ///< link delivers the frame twice (anti-replay probe)
   kReorderFrame,    ///< link swaps the frame with its successor

@@ -1,8 +1,7 @@
 #include "oram/path_oram.hpp"
 
-#include <cstring>
+#include <algorithm>
 
-#include "crypto/sha256.hpp"
 #include "oram/slot_store.hpp"
 
 namespace hardtape::oram {
@@ -13,90 +12,18 @@ namespace {
 // The all-ones id marks a dummy slot.
 const u256 kDummyId = ~u256{};
 
-Bytes make_plaintext(const u256& id, BytesView data, size_t block_size) {
-  Bytes pt;
-  pt.reserve(32 + block_size);
-  append(pt, id.to_be_bytes_vec());
-  append(pt, data);
-  pt.resize(32 + block_size, 0);
-  return pt;
-}
-
 }  // namespace
 
-SealedSlot seal_slot(SealMode mode, const crypto::AesKey128& key, Random& rng,
-                     BytesView plaintext) {
-  SealedSlot slot;
+void seal_slot(const crypto::AesGcm& gcm, Random& rng, BytesView plaintext,
+               SealedSlot& slot) {
   rng.fill(slot.nonce.data(), slot.nonce.size());
-  switch (mode) {
-    case SealMode::kAesGcm: {
-      crypto::GcmNonce nonce;
-      std::memcpy(nonce.data(), slot.nonce.data(), nonce.size());
-      auto result = crypto::aes_gcm_encrypt(key, nonce, plaintext, BytesView{});
-      slot.ciphertext = std::move(result.ciphertext);
-      std::memcpy(slot.tag.data(), result.tag.data(), slot.tag.size());
-      return slot;
-    }
-    case SealMode::kChaChaHmac: {
-      crypto::GcmNonce nonce;
-      std::memcpy(nonce.data(), slot.nonce.data(), nonce.size());
-      // ChaCha20 keystream XOR via the shared block function.
-      std::array<uint32_t, 8> chacha_key{};
-      std::memcpy(chacha_key.data(), key.data(), key.size());  // 128-bit key, rest zero
-      std::array<uint32_t, 3> chacha_nonce{};
-      std::memcpy(chacha_nonce.data(), nonce.data(), nonce.size());
-      slot.ciphertext.assign(plaintext.begin(), plaintext.end());
-      std::array<uint8_t, 64> keystream;
-      for (size_t off = 0, counter = 1; off < slot.ciphertext.size(); off += 64, ++counter) {
-        chacha20_block(chacha_key, static_cast<uint32_t>(counter), chacha_nonce, keystream);
-        const size_t n = std::min<size_t>(64, slot.ciphertext.size() - off);
-        for (size_t i = 0; i < n; ++i) slot.ciphertext[off + i] ^= keystream[i];
-      }
-      Bytes mac_input;
-      append(mac_input, BytesView{slot.nonce.data(), slot.nonce.size()});
-      append(mac_input, slot.ciphertext);
-      const H256 mac = crypto::hmac_sha256(BytesView{key.data(), key.size()}, mac_input);
-      std::memcpy(slot.tag.data(), mac.bytes.data(), slot.tag.size());
-      return slot;
-    }
-  }
-  throw UsageError("bad seal mode");
+  slot.ciphertext.resize(plaintext.size());
+  slot.tag = gcm.seal(slot.nonce, plaintext, BytesView{}, slot.ciphertext.data());
 }
 
-std::optional<Bytes> open_slot(SealMode mode, const crypto::AesKey128& key,
-                               const SealedSlot& slot) {
-  crypto::GcmNonce nonce;
-  std::memcpy(nonce.data(), slot.nonce.data(), nonce.size());
-  switch (mode) {
-    case SealMode::kAesGcm: {
-      crypto::GcmTag tag;
-      std::memcpy(tag.data(), slot.tag.data(), tag.size());
-      return crypto::aes_gcm_decrypt(key, nonce, slot.ciphertext, BytesView{}, tag);
-    }
-    case SealMode::kChaChaHmac: {
-      Bytes mac_input;
-      append(mac_input, BytesView{slot.nonce.data(), slot.nonce.size()});
-      append(mac_input, slot.ciphertext);
-      const H256 mac = crypto::hmac_sha256(BytesView{key.data(), key.size()}, mac_input);
-      if (!ct_equal(BytesView{mac.bytes.data(), 16},
-                    BytesView{slot.tag.data(), slot.tag.size()})) {
-        return std::nullopt;
-      }
-      std::array<uint32_t, 8> chacha_key{};
-      std::memcpy(chacha_key.data(), key.data(), key.size());
-      std::array<uint32_t, 3> chacha_nonce{};
-      std::memcpy(chacha_nonce.data(), nonce.data(), nonce.size());
-      Bytes plaintext = slot.ciphertext;
-      std::array<uint8_t, 64> keystream;
-      for (size_t off = 0, counter = 1; off < plaintext.size(); off += 64, ++counter) {
-        chacha20_block(chacha_key, static_cast<uint32_t>(counter), chacha_nonce, keystream);
-        const size_t n = std::min<size_t>(64, plaintext.size() - off);
-        for (size_t i = 0; i < n; ++i) plaintext[off + i] ^= keystream[i];
-      }
-      return plaintext;
-    }
-  }
-  throw UsageError("bad seal mode");
+bool open_slot(const crypto::AesGcm& gcm, const SealedSlot& slot, Bytes& plaintext) {
+  plaintext.resize(slot.ciphertext.size());
+  return gcm.open(slot.nonce, slot.ciphertext, BytesView{}, slot.tag, plaintext.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -197,8 +124,22 @@ uint64_t OramServer::storage_bytes() const {
 // ---------------------------------------------------------------------------
 
 OramClient::OramClient(OramServer& server, const crypto::AesKey128& oram_key,
-                       uint64_t rng_seed, SealMode mode)
-    : server_(server), key_(oram_key), mode_(mode), rng_(rng_seed) {}
+                       uint64_t rng_seed)
+    : server_(server), gcm_(oram_key), rng_(rng_seed) {}
+
+void OramClient::seal_block(const BlockId& id, BytesView data, SealedSlot& slot) {
+  if (data.size() > server_.config().block_size) throw UsageError("oram: block too large");
+  plain_.resize(32 + server_.config().block_size);
+  const auto id_bytes = id.to_be_bytes();
+  const auto data_end = std::copy(data.begin(), data.end(),
+                                  std::copy(id_bytes.begin(), id_bytes.end(), plain_.begin()));
+  std::fill(data_end, plain_.end(), 0);
+  seal_slot(gcm_, rng_, plain_, slot);
+}
+
+void OramClient::open_block(const SealedSlot& slot) {
+  if (!open_slot(gcm_, slot, plain_)) throw IntegrityError("oram: slot authentication failed");
+}
 
 std::optional<Bytes> OramClient::read(const BlockId& id) {
   return access(id, nullptr);
@@ -291,8 +232,7 @@ void OramClient::bulk_restore(const std::vector<std::pair<BlockId, Bytes>>& page
   for (size_t bucket = 0; bucket < buckets; ++bucket) {
     for (size_t slot = 0; slot < bucket_blocks[bucket].size(); ++slot) {
       const auto* page = bucket_blocks[bucket][slot];
-      slots[bucket * z + slot] = seal_slot(
-          mode_, key_, rng_, make_plaintext(page->first, page->second, block_size));
+      seal_block(page->first, page->second, slots[bucket * z + slot]);
     }
   }
   server_.load_slots(std::move(slots));
@@ -310,39 +250,33 @@ std::optional<Bytes> OramClient::access(
     // rewrite a random path (a "dummy access"), otherwise absent keys would
     // be distinguishable by the missing traffic.
     const uint64_t leaf = rng_.uniform(server_.leaf_count());
-    const auto path = server_.read_path(leaf);
-    std::vector<SealedSlot> rewritten;
-    rewritten.reserve(path.size());
-    const size_t block_size = server_.config().block_size;
-    for (const SealedSlot& slot : path) {
+    auto path = server_.read_path(leaf);
+    for (SealedSlot& slot : path) {
       if (slot.ciphertext.empty()) {  // never-written slot: seal a dummy
-        rewritten.push_back(
-            seal_slot(mode_, key_, rng_, make_plaintext(kDummyId, BytesView{}, block_size)));
+        seal_block(kDummyId, BytesView{}, slot);
         continue;
       }
-      const auto pt = open_slot(mode_, key_, slot);
-      if (!pt.has_value()) throw IntegrityError("oram: slot authentication failed");
-      rewritten.push_back(seal_slot(mode_, key_, rng_, *pt));
+      open_block(slot);
+      seal_slot(gcm_, rng_, plain_, slot);
     }
-    server_.write_path(leaf, std::move(rewritten));
+    server_.write_path(leaf, std::move(path));
     return std::nullopt;
   }
 
   const uint64_t leaf = known ? pos_it->second : rng_.uniform(server_.leaf_count());
 
   // 1. Read the path and pull every real block into the stash.
-  const auto path = server_.read_path(leaf);
+  auto path = server_.read_path(leaf);
   for (const SealedSlot& slot : path) {
     if (slot.ciphertext.empty()) continue;  // uninitialized slot
-    const auto pt = open_slot(mode_, key_, slot);
-    if (!pt.has_value()) throw IntegrityError("oram: slot authentication failed");
-    const u256 slot_id = u256::from_be_bytes(BytesView{pt->data(), 32});
+    open_block(slot);
+    const u256 slot_id = u256::from_be_bytes(BytesView{plain_.data(), 32});
     if (slot_id == kDummyId) continue;
     const auto slot_pos = position_.find(slot_id);
     if (slot_pos == position_.end()) continue;  // stale copy of an id that moved
     if (stash_.contains(slot_id)) continue;     // newer copy already stashed
     StashEntry entry;
-    entry.data.assign(pt->begin() + 32, pt->end());
+    entry.data.assign(plain_.begin() + 32, plain_.end());
     entry.leaf = slot_pos->second;
     stash_.emplace(slot_id, std::move(entry));
   }
@@ -358,7 +292,7 @@ std::optional<Bytes> OramClient::access(
     std::optional<Bytes> result = std::move(removed->second.data);
     stash_.erase(removed);
     position_.erase(id);
-    evict_along_path(leaf);
+    evict_along_path(leaf, std::move(path));
     return result;
   }
 
@@ -393,15 +327,13 @@ std::optional<Bytes> OramClient::access(
   if (stash_.size() > server_.config().max_stash_blocks) stash_overflowed_ = true;
 
   // 3. Evict: greedily push stash blocks as deep as possible along this path.
-  evict_along_path(leaf);
+  evict_along_path(leaf, std::move(path));
   return result;
 }
 
-void OramClient::evict_along_path(uint64_t leaf) {
+void OramClient::evict_along_path(uint64_t leaf, std::vector<SealedSlot> path) {
   const size_t depth = server_.depth();
   const size_t z = server_.config().bucket_capacity;
-  const size_t block_size = server_.config().block_size;
-  std::vector<SealedSlot> path((depth + 1) * z);
 
   // Deepest level first.
   for (size_t level_plus_1 = depth + 1; level_plus_1 > 0; --level_plus_1) {
@@ -412,18 +344,14 @@ void OramClient::evict_along_path(uint64_t leaf) {
       const uint64_t block_prefix =
           (server_.leaf_count() + it->second.leaf) >> (depth - level);
       if (block_prefix == path_prefix) {
-        const Bytes pt = make_plaintext(it->first, it->second.data, block_size);
-        path[level * z + filled] = seal_slot(mode_, key_, rng_, pt);
+        seal_block(it->first, it->second.data, path[level * z + filled]);
         ++filled;
         it = stash_.erase(it);
       } else {
         ++it;
       }
     }
-    for (; filled < z; ++filled) {
-      const Bytes pt = make_plaintext(kDummyId, BytesView{}, block_size);
-      path[level * z + filled] = seal_slot(mode_, key_, rng_, pt);
-    }
+    for (; filled < z; ++filled) seal_block(kDummyId, BytesView{}, path[level * z + filled]);
   }
   server_.write_path(leaf, std::move(path));
 }

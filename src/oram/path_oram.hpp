@@ -59,24 +59,23 @@ struct OramConfig {
   obs::Registry* registry = nullptr;  ///< pool metrics (optional)
 };
 
-/// Slot sealing: the paper's design encrypts with AES-GCM. kChaChaHmac is a
-/// drop-in stream-cipher + HMAC-tag seal with identical interface and
-/// security role, used by the large benches where software AES-GCM would
-/// dominate run time (the performance numbers come from the cost models, not
-/// from host crypto speed — DESIGN.md §1).
-enum class SealMode : uint8_t { kAesGcm, kChaChaHmac };
-
+/// One ORAM slot as the server stores it: AES-128-GCM under the ORAM key,
+/// a fresh 12-byte nonce per seal, no AAD.
 struct SealedSlot {
   std::array<uint8_t, 12> nonce{};
   std::array<uint8_t, 16> tag{};
   Bytes ciphertext;
 };
 
-SealedSlot seal_slot(SealMode mode, const crypto::AesKey128& key, Random& rng,
-                     BytesView plaintext);
-/// Returns nullopt when the tag fails to verify (tampered slot).
-std::optional<Bytes> open_slot(SealMode mode, const crypto::AesKey128& key,
-                               const SealedSlot& slot);
+/// Seals `plaintext` into `slot` under a nonce drawn from `rng` (exactly 12
+/// bytes per seal). Reuses the capacity of `slot.ciphertext`, so resealing a
+/// slot of the same size allocates nothing.
+void seal_slot(const crypto::AesGcm& gcm, Random& rng, BytesView plaintext,
+               SealedSlot& slot);
+/// Opens `slot` into `plaintext` (resized to the ciphertext length). Returns
+/// false when the tag fails to verify (tampered slot); no plaintext bytes
+/// are written then.
+bool open_slot(const crypto::AesGcm& gcm, const SealedSlot& slot, Bytes& plaintext);
 
 /// The untrusted server: a complete binary tree of buckets holding opaque
 /// sealed slots. Records everything an adversary in the SP's position could
@@ -132,7 +131,7 @@ class OramServer {
 /// the link) means an attempt can fail in ways distinct from "not found":
 ///  - kTimeout: no response arrived within the request timeout (dropped or
 ///    over-delayed frame),
-///  - kAuthFailed: a response arrived but its AES-GCM/HMAC tag rejected it
+///  - kAuthFailed: a response arrived but its AES-GCM tag rejected it
 ///    (tampered page),
 ///  - kBadProof: a response carried a stale/inconsistent proof.
 /// kOk with nullopt data is a proven-absent block (dummy access completed).
@@ -175,8 +174,7 @@ class OramAccessor {
 /// must go through an OramFrontend.
 class OramClient : public OramAccessor {
  public:
-  OramClient(OramServer& server, const crypto::AesKey128& oram_key,
-             uint64_t rng_seed, SealMode mode = SealMode::kAesGcm);
+  OramClient(OramServer& server, const crypto::AesKey128& oram_key, uint64_t rng_seed);
 
   /// Reads a block; nullopt when the id was never written. Throws
   /// IntegrityError when the server returned a tampered slot or lost a
@@ -254,12 +252,18 @@ class OramClient : public OramAccessor {
   std::optional<Bytes> access(const BlockId& id, const Bytes* new_data,
                               const std::function<Bytes(std::optional<Bytes>)>* mutate = nullptr,
                               bool remove = false);
-  void evict_along_path(uint64_t leaf);
+  // Refills `path` (the slots read_path returned, resealed in place) from
+  // the stash, deepest bucket first, and writes it back.
+  void evict_along_path(uint64_t leaf, std::vector<SealedSlot> path);
+  // Lays out id || data zero-padded to block_size in plain_ and seals it.
+  void seal_block(const BlockId& id, BytesView data, SealedSlot& slot);
+  // Opens `slot` into plain_; throws IntegrityError on a failed tag.
+  void open_block(const SealedSlot& slot);
 
   OramServer& server_;
-  crypto::AesKey128 key_;
-  SealMode mode_;
+  crypto::AesGcm gcm_;
   Random rng_;
+  Bytes plain_;  ///< one slot's plaintext, reused by every seal and open
   std::unordered_map<BlockId, uint64_t, U256Hasher> position_;
   std::unordered_map<BlockId, StashEntry, U256Hasher> stash_;
   size_t stash_high_water_ = 0;

@@ -1,33 +1,19 @@
 #include "oram/recursive.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace hardtape::oram {
 
 namespace {
 const u256 kDummyId = ~u256{};
-
-// Data blocks carry their current leaf in the sealed header (id || leaf ||
-// data) so blocks swept up in transit keep a valid mapping without an extra
-// map lookup.
-Bytes make_plaintext(const u256& id, uint64_t leaf, BytesView data,
-                     size_t block_size) {
-  Bytes pt;
-  pt.reserve(40 + block_size);
-  append(pt, id.to_be_bytes_vec());
-  for (int i = 0; i < 8; ++i) pt.push_back(static_cast<uint8_t>(leaf >> (8 * i)));
-  append(pt, data);
-  pt.resize(40 + block_size, 0);
-  return pt;
-}
 }  // namespace
 
 RecursiveOramClient::RecursiveOramClient(const RecursiveOramConfig& config,
                                          const crypto::AesKey128& oram_key,
-                                         uint64_t rng_seed, SealMode mode)
+                                         uint64_t rng_seed)
     : config_(config),
-      key_(oram_key),
-      mode_(mode),
+      gcm_(oram_key),
       rng_(rng_seed),
       data_server_(OramConfig{.block_size = config.block_size,
                               .bucket_capacity = config.bucket_capacity,
@@ -40,7 +26,21 @@ RecursiveOramClient::RecursiveOramClient(const RecursiveOramConfig& config,
                           config.map_entries_per_block +
                       1,
           .max_stash_blocks = config.max_stash_blocks}),
-      map_client_(map_server_, oram_key, rng_seed ^ 0x3a9, mode) {}
+      map_client_(map_server_, oram_key, rng_seed ^ 0x3a9) {}
+
+// Data blocks carry their current leaf in the sealed header (id || leaf ||
+// data) so blocks swept up in transit keep a valid mapping without an extra
+// map lookup.
+void RecursiveOramClient::seal_block(const u256& id, uint64_t leaf, BytesView data,
+                                     SealedSlot& slot) {
+  if (data.size() > config_.block_size) throw UsageError("recursive oram: block too large");
+  plain_.assign(40 + config_.block_size, 0);
+  const auto id_bytes = id.to_be_bytes();
+  std::copy(id_bytes.begin(), id_bytes.end(), plain_.begin());
+  for (size_t i = 0; i < 8; ++i) plain_[32 + i] = static_cast<uint8_t>(leaf >> (8 * i));
+  std::copy(data.begin(), data.end(), plain_.begin() + 40);
+  seal_slot(gcm_, rng_, plain_, slot);
+}
 
 // Swaps the map entry for `index` and returns the previous one. Exactly one
 // map-ORAM access per data access (read-modify-write on the map block).
@@ -90,21 +90,22 @@ void RecursiveOramClient::write(uint64_t index, BytesView data) {
 std::optional<Bytes> RecursiveOramClient::data_access(uint64_t index, uint64_t leaf,
                                                       uint64_t new_leaf,
                                                       const Bytes* new_data) {
-  const auto path = data_server_.read_path(leaf);
+  auto path = data_server_.read_path(leaf);
   for (const SealedSlot& slot : path) {
     if (slot.ciphertext.empty()) continue;
-    const auto pt = open_slot(mode_, key_, slot);
-    if (!pt.has_value()) throw IntegrityError("recursive oram: authentication failed");
-    const u256 slot_id = u256::from_be_bytes(BytesView{pt->data(), 32});
+    if (!open_slot(gcm_, slot, plain_)) {
+      throw IntegrityError("recursive oram: authentication failed");
+    }
+    const u256 slot_id = u256::from_be_bytes(BytesView{plain_.data(), 32});
     if (slot_id == kDummyId) continue;
     const uint64_t id = slot_id.as_u64();
     if (data_stash_.contains(id)) continue;
     // The block header carries its current leaf, so transit blocks keep
     // their true mapping without an extra map lookup.
     uint64_t header_leaf = 0;
-    std::memcpy(&header_leaf, pt->data() + 32, 8);
+    std::memcpy(&header_leaf, plain_.data() + 32, 8);
     StashEntry entry;
-    entry.data.assign(pt->begin() + 40, pt->end());
+    entry.data.assign(plain_.begin() + 40, plain_.end());
     entry.leaf = (id == index) ? new_leaf : header_leaf;
     data_stash_[id] = std::move(entry);
   }
@@ -120,14 +121,13 @@ std::optional<Bytes> RecursiveOramClient::data_access(uint64_t index, uint64_t l
   }
   stash_high_water_ = std::max(stash_high_water_, data_stash_.size());
 
-  evict_data_path(leaf);
+  evict_data_path(leaf, std::move(path));
   return result;
 }
 
-void RecursiveOramClient::evict_data_path(uint64_t leaf) {
+void RecursiveOramClient::evict_data_path(uint64_t leaf, std::vector<SealedSlot> path) {
   const size_t depth = data_server_.depth();
   const size_t z = config_.bucket_capacity;
-  std::vector<SealedSlot> path((depth + 1) * z);
   for (size_t level_plus_1 = depth + 1; level_plus_1 > 0; --level_plus_1) {
     const size_t level = level_plus_1 - 1;
     size_t filled = 0;
@@ -136,20 +136,15 @@ void RecursiveOramClient::evict_data_path(uint64_t leaf) {
       const uint64_t block_prefix =
           (data_server_.leaf_count() + it->second.leaf) >> (depth - level);
       if (block_prefix == path_prefix) {
-        const Bytes pt = make_plaintext(u256{it->first}, it->second.leaf,
-                                        it->second.data, config_.block_size);
-        path[level * z + filled] = seal_slot(mode_, key_, rng_, pt);
+        seal_block(u256{it->first}, it->second.leaf, it->second.data,
+                   path[level * z + filled]);
         ++filled;
         it = data_stash_.erase(it);
       } else {
         ++it;
       }
     }
-    for (; filled < z; ++filled) {
-      path[level * z + filled] = seal_slot(
-          mode_, key_, rng_,
-          make_plaintext(kDummyId, 0, BytesView{}, config_.block_size));
-    }
+    for (; filled < z; ++filled) seal_block(kDummyId, 0, BytesView{}, path[level * z + filled]);
   }
   data_server_.write_path(leaf, std::move(path));
 }

@@ -30,8 +30,7 @@ struct RecursiveOramConfig {
 class RecursiveOramClient {
  public:
   RecursiveOramClient(const RecursiveOramConfig& config,
-                      const crypto::AesKey128& oram_key, uint64_t rng_seed,
-                      SealMode mode = SealMode::kChaChaHmac);
+                      const crypto::AesKey128& oram_key, uint64_t rng_seed);
 
   std::optional<Bytes> read(uint64_t index);
   void write(uint64_t index, BytesView data);
@@ -61,12 +60,14 @@ class RecursiveOramClient {
   // One Path ORAM access against the data tree (mirrors OramClient::access).
   std::optional<Bytes> data_access(uint64_t index, uint64_t leaf, uint64_t new_leaf,
                                    const Bytes* new_data);
-  void evict_data_path(uint64_t leaf);
+  void evict_data_path(uint64_t leaf, std::vector<SealedSlot> path);
+  // Lays out id || leaf || data zero-padded in plain_ and seals it.
+  void seal_block(const u256& id, uint64_t leaf, BytesView data, SealedSlot& slot);
 
   RecursiveOramConfig config_;
-  crypto::AesKey128 key_;
-  SealMode mode_;
+  crypto::AesGcm gcm_;
   Random rng_;
+  Bytes plain_;  ///< one slot's plaintext, reused by every seal and open
 
   OramServer data_server_;
   OramServer map_server_;

@@ -32,7 +32,7 @@ ShardedOramConfig ShardedOramStore::partition(const OramConfig& total,
 
 ShardedOramStore::ShardedOramStore(ShardedOramConfig config,
                                    const crypto::AesKey128& oram_key,
-                                   uint64_t rng_seed, SealMode mode)
+                                   uint64_t rng_seed)
     : config_(config), map_rng_(rng_seed ^ 0x5a4d) {
   if (!is_power_of_two(config.shard_count)) {
     throw UsageError("oram: shard count must be a power of two");
@@ -48,8 +48,7 @@ ShardedOramStore::ShardedOramStore(ShardedOramConfig config,
     shard->server = std::make_unique<OramServer>(shard_config);
     // Distinct deterministic RNG stream per subtree (leaf draws, seals).
     shard->client = std::make_unique<OramClient>(*shard->server, oram_key,
-                                                 rng_seed ^ (0x9e3779b9ull * (s + 1)),
-                                                 mode);
+                                                 rng_seed ^ (0x9e3779b9ull * (s + 1)));
     shards_.push_back(std::move(shard));
   }
 }

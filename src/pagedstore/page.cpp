@@ -1,15 +1,13 @@
 #include "pagedstore/page.hpp"
 
-#include <cstring>
+#include <array>
 
+#include "common/crc32c.hpp"
 #include "common/errors.hpp"
-#include "crypto/keccak.hpp"
 
 namespace hardtape::pagedstore {
 
 namespace {
-
-constexpr size_t kChecksumSize = 8;
 
 void put_u16(Bytes& out, uint16_t v) {
   out.push_back(static_cast<uint8_t>(v));
@@ -40,18 +38,14 @@ uint64_t get_u64(const uint8_t* p) {
   return v;
 }
 
-std::array<uint8_t, kChecksumSize> page_checksum(const u256& id,
-                                                 uint64_t generation,
-                                                 BytesView payload) {
-  Bytes preimage;
-  preimage.reserve(32 + 8 + payload.size());
-  append(preimage, id.to_be_bytes_vec());
-  put_u64(preimage, generation);
-  append(preimage, payload);
-  const H256 digest = crypto::keccak256(preimage);
-  std::array<uint8_t, kChecksumSize> out{};
-  std::memcpy(out.data(), digest.bytes.data(), kChecksumSize);
-  return out;
+/// CRC-32C over id_be || generation_le || payload.
+uint32_t page_checksum(const u256& id, uint64_t generation, BytesView payload) {
+  const auto id_bytes = id.to_be_bytes();
+  std::array<uint8_t, 8> gen_bytes{};
+  for (size_t i = 0; i < 8; ++i) gen_bytes[i] = static_cast<uint8_t>(generation >> (8 * i));
+  uint32_t crc = crc32c(BytesView{id_bytes.data(), id_bytes.size()});
+  crc = crc32c(BytesView{gen_bytes.data(), gen_bytes.size()}, crc);
+  return crc32c(payload, crc);
 }
 
 }  // namespace
@@ -68,8 +62,8 @@ Bytes encode_page(const u256& id, uint64_t generation, BytesView payload) {
   append(out, id.to_be_bytes_vec());
   put_u64(out, generation);
   put_u32(out, static_cast<uint32_t>(payload.size()));
-  const auto checksum = page_checksum(id, generation, payload);
-  out.insert(out.end(), checksum.begin(), checksum.end());
+  put_u32(out, page_checksum(id, generation, payload));
+  put_u32(out, 0);  // high half of the checksum field: zero since version 2
   append(out, payload);
   return out;
 }
@@ -86,8 +80,8 @@ std::optional<DecodedPage> decode_page(BytesView raw) {
   if (len > kMaxPagePayload) return std::nullopt;
   if (raw.size() != kPageHeaderSize + len) return std::nullopt;
   const BytesView payload{p + kPageHeaderSize, len};
-  const auto expect = page_checksum(page.id, page.generation, payload);
-  if (!std::equal(expect.begin(), expect.end(), p + 52)) return std::nullopt;
+  if (get_u32(p + 52) != page_checksum(page.id, page.generation, payload)) return std::nullopt;
+  if (get_u32(p + 56) != 0) return std::nullopt;
   page.payload.assign(payload.begin(), payload.end());
   return page;
 }

@@ -6,11 +6,14 @@
 // stored:
 //
 //   u32 magic | u16 version | u16 reserved | 32B logical id | u64 generation
-//   | u32 payload_len | 8B checksum | payload
+//   | u32 payload_len | u32 checksum | u32 zero | payload
 //
-// checksum = the first 8 bytes of keccak256(id_be || generation_le ||
-// payload) — the repo's one hash, truncated, same discipline as the journal.
-// Decoding is FAIL-CLOSED: a torn, bit-flipped, or mis-addressed page (id
+// checksum = CRC-32C(id_be || generation_le || payload), little-endian in
+// the low half of an 8-byte field whose high half must be zero (version 1
+// put a truncated keccak256 there; the record size is unchanged). The
+// checksum catches torn and bit-flipped records, not an adversary, who can
+// recompute it: adversarial integrity comes from the GCM slot tags and the
+// trie's content addressing. Decoding is FAIL-CLOSED: a torn, bit-flipped, or mis-addressed page (id
 // mismatch) yields nullopt, never silently-garbage payload bytes. Callers on
 // the state path convert that refusal into an IntegrityError — the same
 // `kIntegrity`-class rejection a tampered ORAM slot gets.
@@ -25,8 +28,9 @@
 namespace hardtape::pagedstore {
 
 constexpr uint32_t kPageMagic = 0x48545047;  // "HTPG"
-constexpr uint16_t kPageVersion = 1;
-/// magic + version + reserved + id + generation + payload_len + checksum.
+constexpr uint16_t kPageVersion = 2;
+/// magic + version + reserved + id + generation + payload_len + checksum
+/// (4 B CRC-32C + 4 zero bytes).
 constexpr size_t kPageHeaderSize = 4 + 2 + 2 + 32 + 8 + 4 + 8;
 /// Hard bound on a single page payload; an encoded length beyond it is
 /// corruption by definition, rejected before any allocation.
@@ -44,7 +48,7 @@ Bytes encode_page(const u256& id, uint64_t generation, BytesView payload);
 
 /// Decodes a page record that must occupy exactly `raw`. nullopt on ANY
 /// violation: short buffer, bad magic/version, oversized length, length not
-/// matching the buffer, or checksum mismatch.
+/// matching the buffer, checksum mismatch, or a nonzero high checksum half.
 std::optional<DecodedPage> decode_page(BytesView raw);
 
 }  // namespace hardtape::pagedstore

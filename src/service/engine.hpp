@@ -96,7 +96,6 @@ struct EngineConfig {
   SecurityConfig security = SecurityConfig::full();
   hevm::HevmCore::Config core{};
   oram::OramConfig oram{};
-  oram::SealMode seal_mode = oram::SealMode::kChaChaHmac;
   /// Independently locked Path ORAM subtrees behind the frontend (PR 6,
   /// power of two). `oram` above stays the WHOLE-store geometry; each shard
   /// gets ShardedOramStore::partition() of it. 1 = a single tree with the

@@ -142,8 +142,7 @@ PreExecutionService::PreExecutionService(node::NodeSimulator& node, Config confi
       hypervisor_(rng_.bytes(32), manufacturer_, sv(kSbl), sv(kFirmware), sv(kBitstream),
                   config.seed ^ 0xb007),
       oram_server_(config.oram),
-      oram_client_(oram_server_, hypervisor_.generate_oram_key(), config.seed ^ 0x02a3,
-                   config.seal_mode),
+      oram_client_(oram_server_, hypervisor_.generate_oram_key(), config.seed ^ 0x02a3),
       oram_state_(oram_client_) {
   config_.timing.clock = &clock_;
   for (int i = 0; i < config_.hevm_cores; ++i) {

@@ -115,7 +115,6 @@ class PreExecutionService {
     int hevm_cores = 3;  ///< paper §VI-A: LUT-limited to 3 per XCZU15EV
     hevm::HevmCore::Config core{};
     oram::OramConfig oram{};
-    oram::SealMode seal_mode = oram::SealMode::kChaChaHmac;
     RoutedStateReader::Timing timing{};
     sim::HypervisorCostModel hypervisor_costs{};
     sim::CryptoCostModel crypto_costs{};

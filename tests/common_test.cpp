@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
+#include "common/crc32c.hpp"
 #include "common/errors.hpp"
 #include "common/random.hpp"
 #include "common/u256.hpp"
@@ -230,6 +231,31 @@ TEST(H256, RoundTrips) {
   EXPECT_EQ(h.to_u256(), v);
   EXPECT_FALSE(h.is_zero());
   EXPECT_TRUE(H256{}.is_zero());
+}
+
+// --- CRC-32C ---
+
+TEST(Crc32c, KnownAnswersOnBothPaths) {
+  const std::string check = "123456789";
+  const BytesView view{reinterpret_cast<const uint8_t*>(check.data()), check.size()};
+  EXPECT_EQ(crc32c(view), 0xe3069283u);
+  EXPECT_EQ(detail::crc32c_portable(view), 0xe3069283u);
+  EXPECT_EQ(crc32c(BytesView{}), 0u);
+  // RFC 3720 B.4: 32 bytes of zeros, 32 bytes of 0xff.
+  EXPECT_EQ(crc32c(Bytes(32, 0x00)), 0x8a9136aau);
+  EXPECT_EQ(crc32c(Bytes(32, 0xff)), 0x62a8ab43u);
+}
+
+TEST(Crc32c, DispatchedPathMatchesPortableAndChains) {
+  Random rng(21);
+  for (int i = 0; i < 500; ++i) {
+    const Bytes data = rng.bytes(rng.uniform(300));
+    const uint32_t whole = crc32c(data);
+    ASSERT_EQ(whole, detail::crc32c_portable(data)) << "length " << data.size();
+    const size_t cut = data.empty() ? 0 : rng.uniform(data.size());
+    const BytesView view{data};
+    EXPECT_EQ(crc32c(view.subspan(cut), crc32c(view.first(cut))), whole);
+  }
 }
 
 // --- ChaCha20 / Random ---

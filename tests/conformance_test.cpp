@@ -17,29 +17,31 @@ namespace {
 // SSTORE gas matrix
 // ---------------------------------------------------------------------------
 
+// `name` is last: gtest lists a parameter by its raw bytes, and a leading
+// string-literal address would make the listed test names differ per build.
 struct SstoreCase {
-  const char* name;
   uint64_t original;  // value in the base state
   uint64_t current;   // value written earlier in the SAME tx (0 = skip write)
   bool prewarm;       // SLOAD the slot first (warm, non-dirty cases)
   uint64_t next;      // the measured SSTORE's value
   uint64_t expect_gas;
   uint64_t expect_refund;
+  const char* name;
 };
 
 // Berlin/London parameters: warm base 100, set 20000, reset 2900,
 // clear refund 4800, cold surcharge 2100 (avoided via prewarm/dirty writes).
 const SstoreCase kSstoreCases[] = {
-    {"noop_same_value", 5, 0, true, 5, 100, 0},
-    {"clean_set_from_zero", 0, 0, true, 7, 20000, 0},
-    {"clean_clear_nonzero", 5, 0, true, 0, 2900, 4800},
-    {"clean_change_nonzero", 5, 0, true, 7, 2900, 0},
-    {"dirty_change_again", 5, 7, false, 9, 100, 0},
-    {"dirty_clear_after_change", 5, 7, false, 0, 100, 4800},
-    {"dirty_restore_original_nonzero", 5, 7, false, 5, 100, 2800},
-    {"dirty_set_after_clear", 5, 0xFFFF, false, 3, 100, 0},  // current!=0 path
-    {"dirty_restore_original_zero", 0, 7, false, 0, 100, 19900},
-    {"dirty_clear_was_cleared", 5, 0, false, 3, 100, 0},  // see body: C==0 via write
+    {5, 0, true, 5, 100, 0, "noop_same_value"},
+    {0, 0, true, 7, 20000, 0, "clean_set_from_zero"},
+    {5, 0, true, 0, 2900, 4800, "clean_clear_nonzero"},
+    {5, 0, true, 7, 2900, 0, "clean_change_nonzero"},
+    {5, 7, false, 9, 100, 0, "dirty_change_again"},
+    {5, 7, false, 0, 100, 4800, "dirty_clear_after_change"},
+    {5, 7, false, 5, 100, 2800, "dirty_restore_original_nonzero"},
+    {5, 0xFFFF, false, 3, 100, 0, "dirty_set_after_clear"},  // current!=0 path
+    {0, 7, false, 0, 100, 19900, "dirty_restore_original_zero"},
+    {5, 0, false, 3, 100, 0, "dirty_clear_was_cleared"},  // see body: C==0 via write
 };
 
 class SstoreGasTest : public ::testing::TestWithParam<SstoreCase> {};
@@ -218,7 +220,7 @@ TEST_P(OramGridTest, ChurnPreservesData) {
                                            .max_stash_blocks = 4 * c.capacity});
   crypto::AesKey128 key{};
   key[0] = 0x44;
-  oram::OramClient client(server, key, 77, oram::SealMode::kChaChaHmac);
+  oram::OramClient client(server, key, 77);
 
   const size_t blocks = c.capacity / 2;  // 50% load
   Random rng(c.capacity + c.bucket_capacity);

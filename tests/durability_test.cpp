@@ -744,7 +744,6 @@ class DurableEngineTest : public ::testing::Test {
     config.num_hevms = 2;
     config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 4096,
                                    .max_stash_blocks = 512};
-    config.seal_mode = oram::SealMode::kChaChaHmac;
     config.perform_channel_crypto = false;
     config.durable = durable;
     return config;

@@ -27,7 +27,6 @@ class EngineTest : public ::testing::Test {
     config.num_hevms = workers;
     config.queue_depth = queue_depth;
     config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 4096};
-    config.seal_mode = oram::SealMode::kChaChaHmac;
     config.perform_channel_crypto = false;
     return config;
   }

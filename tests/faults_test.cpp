@@ -506,7 +506,6 @@ class EngineFaultTest : public ::testing::Test {
     config.num_hevms = workers;
     config.queue_depth = 16;
     config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 4096};
-    config.seal_mode = oram::SealMode::kChaChaHmac;
     config.perform_channel_crypto = false;
     config.fault_plan = plan;
     return config;
@@ -739,8 +738,7 @@ TEST(ShardQuarantineTest, TamperOnOneShardQuarantinesOnlyThatShard) {
   config.pin_shard_assignment = true;
   crypto::AesKey128 key{};
   for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(0xA0 + i);
-  oram::ShardedOramStore store(std::move(config), key, /*rng_seed=*/0xfa,
-                               oram::SealMode::kChaChaHmac);
+  oram::ShardedOramStore store(std::move(config), key, /*rng_seed=*/0xfa);
 
   // Seed 32 pages; pinning fixes each page's shard for the test's lifetime.
   for (uint64_t i = 0; i < 32; ++i) {

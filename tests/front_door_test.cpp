@@ -665,7 +665,6 @@ class FrontDoorTest : public ::testing::Test {
     config.num_hevms = workers;
     config.queue_depth = 32;
     config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 4096};
-    config.seal_mode = oram::SealMode::kChaChaHmac;
     config.perform_channel_crypto = false;
     return config;
   }

@@ -242,7 +242,7 @@ class SyncTest : public ::testing::Test {
  protected:
   SyncTest()
       : server_(oram::OramConfig{.block_size = oram::kPageSize, .capacity = 512}),
-        client_(server_, key(), 3, oram::SealMode::kChaChaHmac) {
+        client_(server_, key(), 3) {
     node_.world().set_balance(addr(1), u256{777});
     node_.world().set_code(addr(2), workload::erc20_code());
     node_.world().set_storage(addr(2), u256{5}, u256{55});
@@ -323,7 +323,7 @@ class DeltaSyncTest : public ::testing::Test {
  protected:
   DeltaSyncTest()
       : server_(oram::OramConfig{.block_size = oram::kPageSize, .capacity = 1024}),
-        client_(server_, key(), 11, oram::SealMode::kChaChaHmac) {
+        client_(server_, key(), 11) {
     node_.world().set_balance(addr(1), u256{1} << 40);
     node_.world().set_code(addr(0x10), workload::erc20_code());
     node_.world().set_storage(addr(0x10), addr(1).to_u256(), u256{1000});
@@ -447,7 +447,7 @@ TEST(SyncIntegration, FullWorkloadWorldSyncs) {
 
   oram::OramServer server(
       oram::OramConfig{.block_size = oram::kPageSize, .capacity = 2048});
-  oram::OramClient client(server, key(), 5, oram::SealMode::kChaChaHmac);
+  oram::OramClient client(server, key(), 5);
   BlockSynchronizer sync(node, node.head().state_root);
   ASSERT_EQ(sync.sync_all(client), Status::kOk);
 

@@ -403,7 +403,6 @@ class ObsEngineTest : public ::testing::Test {
     config.security = SecurityConfig::full();
     config.num_hevms = workers;
     config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 4096};
-    config.seal_mode = oram::SealMode::kChaChaHmac;
     config.perform_channel_crypto = false;
     // Small layer 2 so the deep router chains below actually spill — the
     // swap schedule (counts + noise padding) is then a real trace to compare.

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <thread>
 
 #include "crypto/keccak.hpp"
@@ -23,22 +24,23 @@ crypto::AesKey128 test_key() {
 
 BlockId bid(uint64_t n) { return crypto::keccak256(u256{n}.to_be_bytes_vec()).to_u256(); }
 
-class OramTest : public ::testing::TestWithParam<SealMode> {
+// AES-128-GCM is the one slot seal. The suite stays instantiated under the
+// seal's name so its test ids are stable.
+enum class SlotSeal : uint8_t { kAesGcm };
+
+class OramTest : public ::testing::TestWithParam<SlotSeal> {
  protected:
   OramTest()
       : server_(OramConfig{.block_size = 64, .bucket_capacity = 4, .capacity = 256,
                            .max_stash_blocks = 64}),
-        client_(server_, test_key(), /*rng_seed=*/42, GetParam()) {}
+        client_(server_, test_key(), /*rng_seed=*/42) {}
 
   OramServer server_;
   OramClient client_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Seals, OramTest,
-                         ::testing::Values(SealMode::kAesGcm, SealMode::kChaChaHmac),
-                         [](const auto& info) {
-                           return info.param == SealMode::kAesGcm ? "AesGcm" : "ChaChaHmac";
-                         });
+INSTANTIATE_TEST_SUITE_P(Seals, OramTest, ::testing::Values(SlotSeal::kAesGcm),
+                         [](const auto&) { return std::string("AesGcm"); });
 
 TEST_P(OramTest, WriteReadRoundTrip) {
   const Bytes data = {1, 2, 3, 4, 5};
@@ -175,19 +177,29 @@ TEST_P(OramTest, TamperedSlotDetected) {
 
 TEST_P(OramTest, SealRoundTripAndTamper) {
   Random rng(1);
-  const auto key = test_key();
+  const crypto::AesGcm gcm(test_key());
   const Bytes pt = rng.bytes(96);
-  const SealedSlot slot = seal_slot(GetParam(), key, rng, pt);
+  SealedSlot slot;
+  seal_slot(gcm, rng, pt, slot);
   EXPECT_NE(slot.ciphertext, pt);  // actually encrypted
-  const auto back = open_slot(GetParam(), key, slot);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, pt);
-  SealedSlot bad = slot;
-  bad.ciphertext[5] ^= 1;
-  EXPECT_FALSE(open_slot(GetParam(), key, bad).has_value());
-  SealedSlot bad_tag = slot;
-  bad_tag.tag[0] ^= 1;
-  EXPECT_FALSE(open_slot(GetParam(), key, bad_tag).has_value());
+  Bytes back;
+  ASSERT_TRUE(open_slot(gcm, slot, back));
+  EXPECT_EQ(back, pt);
+
+  // Every tamper is refused, and a refused open writes no plaintext.
+  const std::vector<std::function<void(SealedSlot&)>> tampers = {
+      [](SealedSlot& s) { s.ciphertext[5] ^= 1; },
+      [](SealedSlot& s) { s.tag[0] ^= 1; },
+      [](SealedSlot& s) { s.nonce[11] ^= 0x80; },
+      [](SealedSlot& s) { s.ciphertext.pop_back(); },
+  };
+  for (size_t i = 0; i < tampers.size(); ++i) {
+    SealedSlot bad = slot;
+    tampers[i](bad);
+    Bytes out(bad.ciphertext.size(), 0xee);
+    EXPECT_FALSE(open_slot(gcm, bad, out)) << "tamper " << i;
+    EXPECT_EQ(out, Bytes(bad.ciphertext.size(), 0xee)) << "tamper " << i;
+  }
 }
 
 TEST_P(OramTest, ReEncryptionChangesCiphertext) {
@@ -209,6 +221,71 @@ TEST_P(OramTest, ReEncryptionChangesCiphertext) {
   EXPECT_TRUE(any_changed);
 }
 
+TEST(OramSeal, ReusedSlotMatchesFreshSeal) {
+  // Sealing into a slot that held a longer or a shorter ciphertext gives the
+  // same bytes as sealing into a fresh one; a longer one keeps its buffer.
+  const crypto::AesGcm gcm(test_key());
+  const Bytes pt = Random(9).bytes(1056);
+  Random fresh_rng(4);
+  SealedSlot fresh;
+  seal_slot(gcm, fresh_rng, pt, fresh);
+  for (const size_t previous : {size_t{4096}, size_t{16}}) {
+    Random rng(4);
+    SealedSlot reused;
+    reused.ciphertext.assign(previous, 0x5a);
+    const uint8_t* buffer = reused.ciphertext.data();
+    seal_slot(gcm, rng, pt, reused);
+    EXPECT_EQ(reused.nonce, fresh.nonce) << previous;
+    EXPECT_EQ(reused.tag, fresh.tag) << previous;
+    EXPECT_EQ(reused.ciphertext, fresh.ciphertext) << previous;
+    if (previous >= pt.size()) {
+      EXPECT_EQ(reused.ciphertext.data(), buffer);
+    }
+    Bytes back(previous, 0x77);  // an open reuses the output buffer the same way
+    ASSERT_TRUE(open_slot(gcm, reused, back)) << previous;
+    EXPECT_EQ(back, pt) << previous;
+  }
+}
+
+TEST(OramClient, TamperedPathFailsClosedWithoutStashChange) {
+  // Flip a nonce, tag or ciphertext bit, or drop a ciphertext byte, in every
+  // non-empty slot of the tree: reads of a stored block and of an unknown id
+  // both come back kAuthFailed, and the stash does not move.
+  const std::vector<std::function<void(SealedSlot&)>> tampers = {
+      [](SealedSlot& s) { s.nonce[0] ^= 1; },
+      [](SealedSlot& s) { s.tag[15] ^= 1; },
+      [](SealedSlot& s) { s.ciphertext[40] ^= 1; },
+      [](SealedSlot& s) { s.ciphertext.pop_back(); },
+  };
+  for (size_t t = 0; t < tampers.size(); ++t) {
+    OramServer server(OramConfig{.block_size = 64, .bucket_capacity = 4, .capacity = 8});
+    OramClient client(server, test_key(), 3);
+    for (uint64_t i = 0; i < 6; ++i) client.write(bid(i), Bytes{static_cast<uint8_t>(i)});
+    // Gather the whole tree bucket by bucket, tamper each slot once, reload.
+    const size_t z = server.config().bucket_capacity;
+    std::vector<SealedSlot> tree(server.bucket_count() * z);
+    for (uint64_t leaf = 0; leaf < server.leaf_count(); ++leaf) {
+      auto path = server.read_path(leaf);
+      for (size_t level = 0; level <= server.depth(); ++level) {
+        const size_t bucket = ((server.leaf_count() + leaf) >> (server.depth() - level)) - 1;
+        for (size_t i = 0; i < z; ++i) tree[bucket * z + i] = path[level * z + i];
+      }
+      server.write_path(leaf, std::move(path));
+    }
+    for (SealedSlot& slot : tree) {
+      if (!slot.ciphertext.empty()) tampers[t](slot);
+    }
+    server.load_slots(std::move(tree));
+
+    const size_t stash = client.stash_size();
+    EXPECT_EQ(client.try_read(bid(1)).status, Status::kAuthFailed) << "tamper " << t;
+    EXPECT_EQ(client.stash_size(), stash) << "tamper " << t;
+    EXPECT_EQ(client.try_read(bid(99)).status, Status::kAuthFailed) << "tamper " << t;
+    EXPECT_EQ(client.stash_size(), stash) << "tamper " << t;
+    EXPECT_THROW(client.read(bid(2)), IntegrityError) << "tamper " << t;
+  }
+}
+
 TEST(OramServer, GeometryAndValidation) {
   OramServer server(OramConfig{.block_size = 32, .bucket_capacity = 4, .capacity = 100});
   EXPECT_EQ(server.leaf_count(), 128u);  // rounded up to a power of two
@@ -228,7 +305,7 @@ TEST(OramClient, RejectsOversizedBlock) {
 TEST(OramClient, BulkRestoreRoundTripAndFollowOnAccesses) {
   OramServer server(OramConfig{.block_size = 64, .bucket_capacity = 4, .capacity = 256,
                                .max_stash_blocks = 64});
-  OramClient client(server, test_key(), 42, SealMode::kChaChaHmac);
+  OramClient client(server, test_key(), 42);
   std::vector<std::pair<BlockId, Bytes>> pages;
   for (uint64_t i = 0; i < 100; ++i) {
     pages.emplace_back(bid(i), Bytes(8, static_cast<uint8_t>(i)));
@@ -254,7 +331,7 @@ TEST(OramClient, BulkRestoreRoundTripAndFollowOnAccesses) {
 
 TEST(OramClient, BulkRestoreRequiresFreshClient) {
   OramServer server(OramConfig{.block_size = 32, .capacity = 16});
-  OramClient client(server, test_key(), 1, SealMode::kChaChaHmac);
+  OramClient client(server, test_key(), 1);
   client.write(bid(1), Bytes{1});
   EXPECT_THROW(client.bulk_restore({{bid(2), Bytes{2}}}), UsageError);
 }
@@ -266,7 +343,7 @@ TEST(OramServer, BulkLoadShapeValidated) {
 
 TEST(OramClient, AccessHookFires) {
   OramServer server(OramConfig{.block_size = 32, .capacity = 16});
-  OramClient client(server, test_key(), 1, SealMode::kChaChaHmac);
+  OramClient client(server, test_key(), 1);
   int hooks = 0;
   client.set_access_hook([&] { ++hooks; });
   client.write(bid(1), Bytes{1});
@@ -343,7 +420,7 @@ class OramWorldStateTest : public ::testing::Test {
  protected:
   OramWorldStateTest()
       : server_(OramConfig{.block_size = kPageSize, .capacity = 256}),
-        client_(server_, test_key(), 11, SealMode::kChaChaHmac),
+        client_(server_, test_key(), 11),
         oram_state_(client_) {
     world_.set_balance(acct(1), u256{5555});
     world_.set_nonce(acct(1), 3);
@@ -524,8 +601,7 @@ ShardedOramStore make_sharded(size_t shards, bool pin = false) {
   auto config = ShardedOramStore::partition(
       OramConfig{.block_size = 64, .capacity = 1024, .max_stash_blocks = 128}, shards);
   config.pin_shard_assignment = pin;
-  return ShardedOramStore(std::move(config), test_key(), /*rng_seed=*/42,
-                          SealMode::kChaChaHmac);
+  return ShardedOramStore(std::move(config), test_key(), /*rng_seed=*/42);
 }
 
 TEST(ShardedStore, PartitionGeometryAndPowerOfTwo) {

@@ -18,7 +18,6 @@ class SecurityTest : public ::testing::Test {
     service::PreExecutionService::Config config;
     config.security = service::SecurityConfig::full();
     config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 4096};
-    config.seal_mode = oram::SealMode::kChaChaHmac;
     config.perform_channel_crypto = false;
     service_ = std::make_unique<service::PreExecutionService>(node_, config);
     EXPECT_EQ(service_->synchronize(), Status::kOk);
@@ -151,7 +150,6 @@ TEST_F(SecurityTest, A6_DishonestNodeBlockedAtSync) {
   service::PreExecutionService::Config config;
   config.security = service::SecurityConfig::full();
   config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 4096};
-  config.seal_mode = oram::SealMode::kChaChaHmac;
   service::PreExecutionService dirty(node_, config);
   EXPECT_EQ(dirty.synchronize(), Status::kBadProof);
   node_.set_dishonest(false);

@@ -18,7 +18,6 @@ class ServiceTest : public ::testing::Test {
     PreExecutionService::Config config;
     config.security = security;
     config.oram = oram::OramConfig{.block_size = oram::kPageSize, .capacity = 4096};
-    config.seal_mode = oram::SealMode::kChaChaHmac;
     config.perform_channel_crypto = false;  // keep tests fast; crypto has its own tests
     return config;
   }
