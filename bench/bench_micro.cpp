@@ -32,6 +32,7 @@
 #include "evm/assembler.hpp"
 #include "evm/interpreter.hpp"
 #include "oram/path_oram.hpp"
+#include "oram/sharded.hpp"
 #include "state/overlay.hpp"
 #include "trie/mpt.hpp"
 #include "workload/contracts.hpp"
@@ -146,6 +147,40 @@ void BM_OramAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OramAccess);
+
+// Reads through the sharded store at perfbench steady-full's geometry: 8
+// shards over capacity 8192 (2048 leaves and 48 slots per path each), 1,401
+// installed pages. Each thread reads its own residue class of the pages, so
+// two threads never race on one id; with two threads the walks of different
+// shards run in parallel, as under the engine's two workers.
+void BM_ShardedOramRead(benchmark::State& state) {
+  constexpr uint64_t kPages = 1401;
+  static const auto ids = [] {
+    std::vector<oram::BlockId> out;
+    for (uint64_t i = 0; i < kPages; ++i) {
+      out.push_back(crypto::keccak256(u256{i}.to_be_bytes_vec()).to_u256());
+    }
+    return out;
+  }();
+  static oram::ShardedOramStore& store = []() -> oram::ShardedOramStore& {
+    static oram::ShardedOramStore sharded(
+        oram::ShardedOramStore::partition(
+            oram::OramConfig{.block_size = 1024, .capacity = 8192, .max_stash_blocks = 512},
+            8),
+        crypto::AesKey128{}, 1);
+    for (uint64_t i = 0; i < kPages; ++i) sharded.write(ids[i], Bytes(1024, static_cast<uint8_t>(i)));
+    return sharded;
+  }();
+  const auto threads = static_cast<uint64_t>(state.threads());
+  Random rng(100 + static_cast<uint64_t>(state.thread_index()));
+  for (auto _ : state) {
+    const uint64_t slot = rng.uniform(kPages / threads);
+    benchmark::DoNotOptimize(
+        store.read(ids[slot * threads + static_cast<uint64_t>(state.thread_index())]));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ShardedOramRead)->Threads(1)->Threads(2)->UseRealTime();
 
 void BM_EvmErc20Transfer(benchmark::State& state) {
   const auto engine = static_cast<evm::EngineKind>(state.range(0));

@@ -205,13 +205,14 @@ GcmTag PortableGcm::seal(const GcmNonce& nonce, BytesView plaintext, BytesView a
 }
 
 bool PortableGcm::open(const GcmNonce& nonce, BytesView ciphertext, BytesView aad,
-                       const GcmTag& expected, uint8_t* plaintext) const {
+                       const GcmTag& expected, uint8_t* plaintext,
+                       size_t decrypt_len) const {
   const GcmTag actual = tag(nonce, aad, ciphertext);
   if (!ct_equal(BytesView{actual.data(), actual.size()},
                 BytesView{expected.data(), expected.size()})) {
     return false;
   }
-  ctr_xor(nonce, ciphertext, plaintext);
+  ctr_xor(nonce, ciphertext.first(std::min(decrypt_len, ciphertext.size())), plaintext);
   return true;
 }
 
@@ -409,7 +410,7 @@ HARDTAPE_GCM_HW_FN GcmTag seal_hw(const uint8_t* round_keys, const uint8_t* h_po
 HARDTAPE_GCM_HW_FN bool open_hw(const uint8_t* round_keys, const uint8_t* h_powers,
                                 const GcmNonce& nonce, BytesView ciphertext,
                                 BytesView aad, const GcmTag& expected,
-                                uint8_t* plaintext) {
+                                uint8_t* plaintext, size_t decrypt_len) {
   const RoundKeys rk = load_round_keys(round_keys);
   const GcmTag actual =
       tag_hw(rk, h_powers, nonce, aad, ciphertext.data(), ciphertext.size());
@@ -417,7 +418,8 @@ HARDTAPE_GCM_HW_FN bool open_hw(const uint8_t* round_keys, const uint8_t* h_powe
                 BytesView{expected.data(), expected.size()})) {
     return false;
   }
-  ctr_xor_hw(rk, nonce, ciphertext.data(), plaintext, ciphertext.size());
+  ctr_xor_hw(rk, nonce, ciphertext.data(), plaintext,
+             std::min(decrypt_len, ciphertext.size()));
   return true;
 }
 
@@ -469,14 +471,14 @@ GcmTag AesGcm::seal(const GcmNonce& nonce, BytesView plaintext, BytesView aad,
 }
 
 bool AesGcm::open(const GcmNonce& nonce, BytesView ciphertext, BytesView aad,
-                  const GcmTag& tag, uint8_t* plaintext) const {
+                  const GcmTag& tag, uint8_t* plaintext, size_t decrypt_len) const {
 #if HARDTAPE_GCM_HW
   if (!portable_.has_value()) {
     return open_hw(round_keys_.data(), h_powers_.data(), nonce, ciphertext, aad, tag,
-                   plaintext);
+                   plaintext, decrypt_len);
   }
 #endif
-  return portable_->open(nonce, ciphertext, aad, tag, plaintext);
+  return portable_->open(nonce, ciphertext, aad, tag, plaintext, decrypt_len);
 }
 
 // ---------------------------------------------------------------------------

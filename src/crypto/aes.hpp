@@ -27,6 +27,9 @@ using AesKey128 = std::array<uint8_t, 16>;
 using GcmNonce = std::array<uint8_t, 12>;
 using GcmTag = std::array<uint8_t, 16>;
 
+/// `decrypt_len` of an open that decrypts the whole message.
+inline constexpr size_t kWholeMessage = static_cast<size_t>(-1);
+
 /// Raw AES-128 block cipher (table-free, byte-wise). Exposed for tests
 /// against FIPS-197 vectors; its key schedule also feeds the AES-NI path.
 class Aes128 {
@@ -59,7 +62,8 @@ class PortableGcm {
   GcmTag seal(const GcmNonce& nonce, BytesView plaintext, BytesView aad,
               uint8_t* ciphertext) const;
   bool open(const GcmNonce& nonce, BytesView ciphertext, BytesView aad,
-            const GcmTag& tag, uint8_t* plaintext) const;
+            const GcmTag& tag, uint8_t* plaintext,
+            size_t decrypt_len = kWholeMessage) const;
   /// Bare CTR keystream XOR, counter starting at inc32(J0) as in GCM.
   void ctr_xor(const GcmNonce& nonce, BytesView in, uint8_t* out) const;
 
@@ -85,10 +89,13 @@ class AesGcm {
   /// Encrypts `plaintext` into `ciphertext` and returns the tag.
   GcmTag seal(const GcmNonce& nonce, BytesView plaintext, BytesView aad,
               uint8_t* ciphertext) const;
-  /// Verifies `tag` over (aad, ciphertext) and only then decrypts into
-  /// `plaintext`. Returns false, writing nothing, when the tag fails.
+  /// Verifies `tag` over all of (aad, ciphertext) and only then decrypts
+  /// the first min(decrypt_len, ciphertext.size()) bytes into `plaintext`;
+  /// the rest of the keystream is never computed. Returns false, writing
+  /// nothing, when the tag fails.
   bool open(const GcmNonce& nonce, BytesView ciphertext, BytesView aad,
-            const GcmTag& tag, uint8_t* plaintext) const;
+            const GcmTag& tag, uint8_t* plaintext,
+            size_t decrypt_len = kWholeMessage) const;
 
  private:
   alignas(16) std::array<uint8_t, 176> round_keys_{};

@@ -21,9 +21,11 @@ void seal_slot(const crypto::AesGcm& gcm, Random& rng, BytesView plaintext,
   slot.tag = gcm.seal(slot.nonce, plaintext, BytesView{}, slot.ciphertext.data());
 }
 
-bool open_slot(const crypto::AesGcm& gcm, const SealedSlot& slot, Bytes& plaintext) {
+bool open_slot(const crypto::AesGcm& gcm, const SealedSlot& slot, Bytes& plaintext,
+               size_t decrypt_len) {
   plaintext.resize(slot.ciphertext.size());
-  return gcm.open(slot.nonce, slot.ciphertext, BytesView{}, slot.tag, plaintext.data());
+  return gcm.open(slot.nonce, slot.ciphertext, BytesView{}, slot.tag, plaintext.data(),
+                  decrypt_len);
 }
 
 // ---------------------------------------------------------------------------
@@ -66,32 +68,31 @@ OramServer::OramServer(const OramConfig& config) : config_(config) {
 
 OramServer::~OramServer() = default;
 
-std::vector<SealedSlot> OramServer::read_path(uint64_t leaf) {
+void OramServer::read_path(uint64_t leaf, std::vector<SealedSlot>& path) {
   if (leaf >= leaf_count_) throw UsageError("oram: leaf out of range");
   observed_leaves_.push_back(leaf);
   ++access_count_;
-  std::vector<size_t> buckets;
-  buckets.reserve(depth_ + 1);
+  walk_buckets_.clear();
   for (size_t level = 0; level <= depth_; ++level) {
-    buckets.push_back(bucket_index(leaf, level));
+    walk_buckets_.push_back(bucket_index(leaf, level));
   }
   // The walk's pages stay pinned until write_path rewrites them (or the next
   // read_path supersedes the walk) — eviction proceeds around them.
-  store_->begin_walk(buckets);
-  std::vector<SealedSlot> out;
-  out.reserve((depth_ + 1) * config_.bucket_capacity);
-  for (const size_t bucket : buckets) store_->read_bucket(bucket, out);
-  return out;
+  store_->begin_walk(walk_buckets_);
+  path.resize((depth_ + 1) * config_.bucket_capacity);
+  for (size_t level = 0; level <= depth_; ++level) {
+    store_->read_bucket(walk_buckets_[level], path.data() + level * config_.bucket_capacity);
+  }
 }
 
-void OramServer::write_path(uint64_t leaf, std::vector<SealedSlot> slots) {
+void OramServer::write_path(uint64_t leaf, std::vector<SealedSlot>& path) {
   if (leaf >= leaf_count_) throw UsageError("oram: leaf out of range");
-  if (slots.size() != (depth_ + 1) * config_.bucket_capacity) {
+  if (path.size() != (depth_ + 1) * config_.bucket_capacity) {
     throw UsageError("oram: path shape mismatch");
   }
   for (size_t level = 0; level <= depth_; ++level) {
     store_->write_bucket(bucket_index(leaf, level),
-                         slots.data() + level * config_.bucket_capacity);
+                         path.data() + level * config_.bucket_capacity);
   }
   store_->end_walk();
 }
@@ -137,8 +138,14 @@ void OramClient::seal_block(const BlockId& id, BytesView data, SealedSlot& slot)
   seal_slot(gcm_, rng_, plain_, slot);
 }
 
-void OramClient::open_block(const SealedSlot& slot) {
-  if (!open_slot(gcm_, slot, plain_)) throw IntegrityError("oram: slot authentication failed");
+void OramClient::open_block(const SealedSlot& slot, size_t decrypt_len) {
+  if (!open_slot(gcm_, slot, plain_, decrypt_len)) {
+    throw IntegrityError("oram: slot authentication failed");
+  }
+}
+
+BlockId OramClient::plain_id() const {
+  return u256::from_be_bytes(BytesView{plain_.data(), 32});
 }
 
 std::optional<Bytes> OramClient::read(const BlockId& id) {
@@ -246,40 +253,14 @@ std::optional<Bytes> OramClient::access(
   const auto pos_it = position_.find(id);
   const bool known = pos_it != position_.end();
   if (!known && new_data == nullptr && mutate == nullptr) {
-    // Reading an unknown id must still look like a normal access: fetch and
-    // rewrite a random path (a "dummy access"), otherwise absent keys would
-    // be distinguishable by the missing traffic.
-    const uint64_t leaf = rng_.uniform(server_.leaf_count());
-    auto path = server_.read_path(leaf);
-    for (SealedSlot& slot : path) {
-      if (slot.ciphertext.empty()) {  // never-written slot: seal a dummy
-        seal_block(kDummyId, BytesView{}, slot);
-        continue;
-      }
-      open_block(slot);
-      seal_slot(gcm_, rng_, plain_, slot);
-    }
-    server_.write_path(leaf, std::move(path));
+    dummy_access();
     return std::nullopt;
   }
 
   const uint64_t leaf = known ? pos_it->second : rng_.uniform(server_.leaf_count());
 
   // 1. Read the path and pull every real block into the stash.
-  auto path = server_.read_path(leaf);
-  for (const SealedSlot& slot : path) {
-    if (slot.ciphertext.empty()) continue;  // uninitialized slot
-    open_block(slot);
-    const u256 slot_id = u256::from_be_bytes(BytesView{plain_.data(), 32});
-    if (slot_id == kDummyId) continue;
-    const auto slot_pos = position_.find(slot_id);
-    if (slot_pos == position_.end()) continue;  // stale copy of an id that moved
-    if (stash_.contains(slot_id)) continue;     // newer copy already stashed
-    StashEntry entry;
-    entry.data.assign(plain_.begin() + 32, plain_.end());
-    entry.leaf = slot_pos->second;
-    stash_.emplace(slot_id, std::move(entry));
-  }
+  read_path_into_stash(leaf);
 
   if (remove) {
     // Out-migration: forget the block after pulling it off the path. The
@@ -292,7 +273,7 @@ std::optional<Bytes> OramClient::access(
     std::optional<Bytes> result = std::move(removed->second.data);
     stash_.erase(removed);
     position_.erase(id);
-    evict_along_path(leaf, std::move(path));
+    evict_along_path(leaf);
     return result;
   }
 
@@ -327,11 +308,58 @@ std::optional<Bytes> OramClient::access(
   if (stash_.size() > server_.config().max_stash_blocks) stash_overflowed_ = true;
 
   // 3. Evict: greedily push stash blocks as deep as possible along this path.
-  evict_along_path(leaf, std::move(path));
+  evict_along_path(leaf);
   return result;
 }
 
-void OramClient::evict_along_path(uint64_t leaf, std::vector<SealedSlot> path) {
+void OramClient::dummy_access() {
+  // Reading an unknown id must still look like a normal access: fetch and
+  // rewrite a random path, otherwise absent keys would be distinguishable by
+  // the missing traffic. A dummy slot reseals as the canonical dummy, so only
+  // its id is decrypted; a real block is opened in full and resealed as is.
+  const uint64_t leaf = rng_.uniform(server_.leaf_count());
+  server_.read_path(leaf, path_);
+  for (SealedSlot& slot : path_) {
+    if (!slot.ciphertext.empty()) {  // empty: a never-written slot
+      open_block(slot, 32);
+      if (plain_id() != kDummyId) {
+        open_block(slot, crypto::kWholeMessage);
+        seal_slot(gcm_, rng_, plain_, slot);
+        continue;
+      }
+    }
+    seal_block(kDummyId, BytesView{}, slot);
+  }
+  server_.write_path(leaf, path_);
+}
+
+void OramClient::read_path_into_stash(uint64_t leaf) {
+  server_.read_path(leaf, path_);
+  // First pass: verify every slot, decrypting only its id, and pick the
+  // blocks the stash takes. A tampered slot anywhere on the path throws
+  // here, before the stash has changed.
+  stash_bound_.clear();
+  for (size_t i = 0; i < path_.size(); ++i) {
+    if (path_[i].ciphertext.empty()) continue;  // uninitialized slot
+    open_block(path_[i], 32);
+    const BlockId slot_id = plain_id();
+    if (slot_id == kDummyId) continue;
+    if (!position_.contains(slot_id)) continue;  // stale copy of an id that moved
+    if (stash_.contains(slot_id)) continue;      // newer copy already stashed
+    stash_bound_.push_back(i);
+  }
+  // Second pass: open those blocks in full.
+  for (const size_t i : stash_bound_) {
+    open_block(path_[i], crypto::kWholeMessage);
+    const BlockId slot_id = plain_id();
+    const auto [entry, inserted] = stash_.try_emplace(slot_id);
+    if (!inserted) continue;  // an earlier copy on this path was stashed
+    entry->second.data.assign(plain_.begin() + 32, plain_.end());
+    entry->second.leaf = position_.at(slot_id);
+  }
+}
+
+void OramClient::evict_along_path(uint64_t leaf) {
   const size_t depth = server_.depth();
   const size_t z = server_.config().bucket_capacity;
 
@@ -344,16 +372,16 @@ void OramClient::evict_along_path(uint64_t leaf, std::vector<SealedSlot> path) {
       const uint64_t block_prefix =
           (server_.leaf_count() + it->second.leaf) >> (depth - level);
       if (block_prefix == path_prefix) {
-        seal_block(it->first, it->second.data, path[level * z + filled]);
+        seal_block(it->first, it->second.data, path_[level * z + filled]);
         ++filled;
         it = stash_.erase(it);
       } else {
         ++it;
       }
     }
-    for (; filled < z; ++filled) seal_block(kDummyId, BytesView{}, path[level * z + filled]);
+    for (; filled < z; ++filled) seal_block(kDummyId, BytesView{}, path_[level * z + filled]);
   }
-  server_.write_path(leaf, std::move(path));
+  server_.write_path(leaf, path_);
 }
 
 }  // namespace hardtape::oram

@@ -72,10 +72,12 @@ struct SealedSlot {
 /// slot of the same size allocates nothing.
 void seal_slot(const crypto::AesGcm& gcm, Random& rng, BytesView plaintext,
                SealedSlot& slot);
-/// Opens `slot` into `plaintext` (resized to the ciphertext length). Returns
-/// false when the tag fails to verify (tampered slot); no plaintext bytes
-/// are written then.
-bool open_slot(const crypto::AesGcm& gcm, const SealedSlot& slot, Bytes& plaintext);
+/// Opens `slot` into `plaintext` (resized to the ciphertext length),
+/// decrypting only its first `decrypt_len` bytes; the tag is checked over
+/// the whole ciphertext either way. Returns false when the tag fails to
+/// verify (tampered slot); no plaintext bytes are written then.
+bool open_slot(const crypto::AesGcm& gcm, const SealedSlot& slot, Bytes& plaintext,
+               size_t decrypt_len = crypto::kWholeMessage);
 
 /// The untrusted server: a complete binary tree of buckets holding opaque
 /// sealed slots. Records everything an adversary in the SP's position could
@@ -92,10 +94,15 @@ class OramServer {
   size_t bucket_count() const { return 2 * leaf_count_ - 1; }
   const OramConfig& config() const { return config_; }
 
-  /// Reads all Z*(depth+1) slots on the path to `leaf`, root first.
-  std::vector<SealedSlot> read_path(uint64_t leaf);
-  /// Replaces the path with re-encrypted slots (same shape as read_path).
-  void write_path(uint64_t leaf, std::vector<SealedSlot> slots);
+  /// Reads all Z*(depth+1) slots on the path to `leaf`, root first, into
+  /// `path` (resized to that shape). The caller owns `path` and passes the
+  /// same vector to every walk: each slot is copied into the ciphertext
+  /// capacity it already has, so a warmed-up walk allocates nothing.
+  void read_path(uint64_t leaf, std::vector<SealedSlot>& path);
+  /// Replaces the path with the re-encrypted slots in `path` (same shape as
+  /// read_path) by swapping them into the tree. `path` comes back holding
+  /// the tree's previous slot buffers, ready for the next read_path.
+  void write_path(uint64_t leaf, std::vector<SealedSlot>& path);
   /// Checkpoint restore (PR 5): replaces the entire tree in one bulk load
   /// (`slots` in bucket-major order, bucket_count()*Z entries). A restore is
   /// a single public event — it is not an access and reveals no per-path
@@ -122,6 +129,7 @@ class OramServer {
   size_t depth_;
   size_t leaf_count_;
   std::unique_ptr<SlotStore> store_;  ///< bucket tree (RAM or paged)
+  std::vector<size_t> walk_buckets_;  ///< the current walk's buckets, root first
   std::vector<uint64_t> observed_leaves_;
   uint64_t access_count_ = 0;
 };
@@ -252,18 +260,28 @@ class OramClient : public OramAccessor {
   std::optional<Bytes> access(const BlockId& id, const Bytes* new_data,
                               const std::function<Bytes(std::optional<Bytes>)>* mutate = nullptr,
                               bool remove = false);
-  // Refills `path` (the slots read_path returned, resealed in place) from
+  // A read of an unknown id: reads and rewrites a uniformly random path.
+  void dummy_access();
+  // Reads the path to `leaf` into path_ and pulls its real blocks into the
+  // stash. Every slot's tag is verified before the stash changes.
+  void read_path_into_stash(uint64_t leaf);
+  // Refills path_ (the slots read_path returned, resealed in place) from
   // the stash, deepest bucket first, and writes it back.
-  void evict_along_path(uint64_t leaf, std::vector<SealedSlot> path);
+  void evict_along_path(uint64_t leaf);
   // Lays out id || data zero-padded to block_size in plain_ and seals it.
   void seal_block(const BlockId& id, BytesView data, SealedSlot& slot);
-  // Opens `slot` into plain_; throws IntegrityError on a failed tag.
-  void open_block(const SealedSlot& slot);
+  // Verifies `slot` and decrypts its first `decrypt_len` bytes into plain_;
+  // throws IntegrityError on a failed tag.
+  void open_block(const SealedSlot& slot, size_t decrypt_len);
+  // The id in the first 32 bytes of plain_.
+  BlockId plain_id() const;
 
   OramServer& server_;
   crypto::AesGcm gcm_;
   Random rng_;
   Bytes plain_;  ///< one slot's plaintext, reused by every seal and open
+  std::vector<SealedSlot> path_;  ///< the walk's slots, reused by every walk
+  std::vector<size_t> stash_bound_;  ///< indices in path_ of blocks to stash
   std::unordered_map<BlockId, uint64_t, U256Hasher> position_;
   std::unordered_map<BlockId, StashEntry, U256Hasher> stash_;
   size_t stash_high_water_ = 0;

@@ -42,6 +42,12 @@ void RecursiveOramClient::seal_block(const u256& id, uint64_t leaf, BytesView da
   seal_slot(gcm_, rng_, plain_, slot);
 }
 
+void RecursiveOramClient::open_block(const SealedSlot& slot, size_t decrypt_len) {
+  if (!open_slot(gcm_, slot, plain_, decrypt_len)) {
+    throw IntegrityError("recursive oram: authentication failed");
+  }
+}
+
 // Swaps the map entry for `index` and returns the previous one. Exactly one
 // map-ORAM access per data access (read-modify-write on the map block).
 uint64_t RecursiveOramClient::map_entry_swap(uint64_t index, uint64_t new_entry) {
@@ -90,24 +96,29 @@ void RecursiveOramClient::write(uint64_t index, BytesView data) {
 std::optional<Bytes> RecursiveOramClient::data_access(uint64_t index, uint64_t leaf,
                                                       uint64_t new_leaf,
                                                       const Bytes* new_data) {
-  auto path = data_server_.read_path(leaf);
-  for (const SealedSlot& slot : path) {
-    if (slot.ciphertext.empty()) continue;
-    if (!open_slot(gcm_, slot, plain_)) {
-      throw IntegrityError("recursive oram: authentication failed");
-    }
+  // Verify every slot, decrypting only its id, before the stash changes;
+  // then open in full just the blocks the stash takes.
+  data_server_.read_path(leaf, path_);
+  stash_bound_.clear();
+  for (size_t i = 0; i < path_.size(); ++i) {
+    if (path_[i].ciphertext.empty()) continue;
+    open_block(path_[i], 32);
     const u256 slot_id = u256::from_be_bytes(BytesView{plain_.data(), 32});
     if (slot_id == kDummyId) continue;
-    const uint64_t id = slot_id.as_u64();
-    if (data_stash_.contains(id)) continue;
+    if (data_stash_.contains(slot_id.as_u64())) continue;
+    stash_bound_.push_back(i);
+  }
+  for (const size_t i : stash_bound_) {
+    open_block(path_[i], crypto::kWholeMessage);
+    const uint64_t id = u256::from_be_bytes(BytesView{plain_.data(), 32}).as_u64();
+    const auto [entry, inserted] = data_stash_.try_emplace(id);
+    if (!inserted) continue;  // an earlier copy on this path was stashed
     // The block header carries its current leaf, so transit blocks keep
     // their true mapping without an extra map lookup.
     uint64_t header_leaf = 0;
     std::memcpy(&header_leaf, plain_.data() + 32, 8);
-    StashEntry entry;
-    entry.data.assign(plain_.begin() + 40, plain_.end());
-    entry.leaf = (id == index) ? new_leaf : header_leaf;
-    data_stash_[id] = std::move(entry);
+    entry->second.data.assign(plain_.begin() + 40, plain_.end());
+    entry->second.leaf = (id == index) ? new_leaf : header_leaf;
   }
 
   std::optional<Bytes> result;
@@ -121,11 +132,11 @@ std::optional<Bytes> RecursiveOramClient::data_access(uint64_t index, uint64_t l
   }
   stash_high_water_ = std::max(stash_high_water_, data_stash_.size());
 
-  evict_data_path(leaf, std::move(path));
+  evict_data_path(leaf);
   return result;
 }
 
-void RecursiveOramClient::evict_data_path(uint64_t leaf, std::vector<SealedSlot> path) {
+void RecursiveOramClient::evict_data_path(uint64_t leaf) {
   const size_t depth = data_server_.depth();
   const size_t z = config_.bucket_capacity;
   for (size_t level_plus_1 = depth + 1; level_plus_1 > 0; --level_plus_1) {
@@ -137,16 +148,16 @@ void RecursiveOramClient::evict_data_path(uint64_t leaf, std::vector<SealedSlot>
           (data_server_.leaf_count() + it->second.leaf) >> (depth - level);
       if (block_prefix == path_prefix) {
         seal_block(u256{it->first}, it->second.leaf, it->second.data,
-                   path[level * z + filled]);
+                   path_[level * z + filled]);
         ++filled;
         it = data_stash_.erase(it);
       } else {
         ++it;
       }
     }
-    for (; filled < z; ++filled) seal_block(kDummyId, 0, BytesView{}, path[level * z + filled]);
+    for (; filled < z; ++filled) seal_block(kDummyId, 0, BytesView{}, path_[level * z + filled]);
   }
-  data_server_.write_path(leaf, std::move(path));
+  data_server_.write_path(leaf, path_);
 }
 
 }  // namespace hardtape::oram

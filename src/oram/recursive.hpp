@@ -60,14 +60,19 @@ class RecursiveOramClient {
   // One Path ORAM access against the data tree (mirrors OramClient::access).
   std::optional<Bytes> data_access(uint64_t index, uint64_t leaf, uint64_t new_leaf,
                                    const Bytes* new_data);
-  void evict_data_path(uint64_t leaf, std::vector<SealedSlot> path);
+  void evict_data_path(uint64_t leaf);
   // Lays out id || leaf || data zero-padded in plain_ and seals it.
   void seal_block(const u256& id, uint64_t leaf, BytesView data, SealedSlot& slot);
+  // Verifies `slot` and decrypts its first `decrypt_len` bytes into plain_;
+  // throws IntegrityError on a failed tag.
+  void open_block(const SealedSlot& slot, size_t decrypt_len);
 
   RecursiveOramConfig config_;
   crypto::AesGcm gcm_;
   Random rng_;
   Bytes plain_;  ///< one slot's plaintext, reused by every seal and open
+  std::vector<SealedSlot> path_;  ///< the data walk's slots, reused by every walk
+  std::vector<size_t> stash_bound_;  ///< indices in path_ of blocks to stash
 
   OramServer data_server_;
   OramServer map_server_;

@@ -1,6 +1,8 @@
 #include "oram/slot_store.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace hardtape::oram {
 
@@ -8,8 +10,8 @@ namespace {
 
 u256 bucket_page_id(size_t bucket) { return u256{static_cast<uint64_t>(bucket)}; }
 
-void put_u32(Bytes& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+void put_u32(uint8_t* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
 }  // namespace
@@ -18,14 +20,16 @@ void put_u32(Bytes& out, uint32_t v) {
 // RamSlotStore
 // ---------------------------------------------------------------------------
 
-void RamSlotStore::read_bucket(size_t bucket, std::vector<SealedSlot>& out) {
+void RamSlotStore::read_bucket(size_t bucket, SealedSlot* out) {
+  // Copy-assignment keeps the ciphertext buffer of out[z] when it is big
+  // enough, which every recycled slot of a warmed-up walk is.
   const size_t base = bucket * z_;
-  for (size_t z = 0; z < z_; ++z) out.push_back(slots_[base + z]);
+  for (size_t z = 0; z < z_; ++z) out[z] = slots_[base + z];
 }
 
 void RamSlotStore::write_bucket(size_t bucket, SealedSlot* slots) {
   const size_t base = bucket * z_;
-  for (size_t z = 0; z < z_; ++z) slots_[base + z] = std::move(slots[z]);
+  for (size_t z = 0; z < z_; ++z) std::swap(slots_[base + z], slots[z]);
 }
 
 // ---------------------------------------------------------------------------
@@ -55,26 +59,24 @@ PagedSlotStore::PagedSlotStore(durability::SimFs& fs,
   }
 }
 
-Bytes PagedSlotStore::serialize_bucket(const SealedSlot* slots) const {
-  Bytes payload;
+void PagedSlotStore::serialize_bucket(const SealedSlot* slots) {
   size_t total = 0;
   for (size_t z = 0; z < z_; ++z) total += 12 + 16 + 4 + slots[z].ciphertext.size();
-  payload.reserve(total);
+  payload_.resize(total);
+  uint8_t* out = payload_.data();
   for (size_t z = 0; z < z_; ++z) {
     const SealedSlot& slot = slots[z];
-    payload.insert(payload.end(), slot.nonce.begin(), slot.nonce.end());
-    payload.insert(payload.end(), slot.tag.begin(), slot.tag.end());
-    put_u32(payload, static_cast<uint32_t>(slot.ciphertext.size()));
-    append(payload, slot.ciphertext);
+    out = std::copy(slot.nonce.begin(), slot.nonce.end(), out);
+    out = std::copy(slot.tag.begin(), slot.tag.end(), out);
+    put_u32(out, static_cast<uint32_t>(slot.ciphertext.size()));
+    out = std::copy(slot.ciphertext.begin(), slot.ciphertext.end(), out + 4);
   }
-  return payload;
 }
 
-void PagedSlotStore::deserialize_bucket(BytesView payload,
-                                        std::vector<SealedSlot>& out) const {
+void PagedSlotStore::deserialize_bucket(BytesView payload, SealedSlot* out) const {
   size_t off = 0;
   for (size_t z = 0; z < z_; ++z) {
-    SealedSlot slot;
+    SealedSlot& slot = out[z];
     if (payload.size() - off < 12 + 16 + 4) {
       throw IntegrityError("oram slot store: truncated bucket page");
     }
@@ -91,19 +93,22 @@ void PagedSlotStore::deserialize_bucket(BytesView payload,
     slot.ciphertext.assign(payload.begin() + static_cast<ptrdiff_t>(off),
                            payload.begin() + static_cast<ptrdiff_t>(off + len));
     off += len;
-    out.push_back(std::move(slot));
   }
   if (off != payload.size()) {
     throw IntegrityError("oram slot store: trailing bytes in bucket page");
   }
 }
 
-void PagedSlotStore::read_bucket(size_t bucket, std::vector<SealedSlot>& out) {
+void PagedSlotStore::read_bucket(size_t bucket, SealedSlot* out) {
   const u256 id = bucket_page_id(bucket);
   if (!store_.contains(id)) {
     // Never-written bucket: Z empty-ciphertext slots, exactly what a fresh
     // RAM tree holds (every access already treats those as dummies).
-    out.resize(out.size() + z_);
+    for (size_t z = 0; z < z_; ++z) {
+      out[z].nonce = {};
+      out[z].tag = {};
+      out[z].ciphertext.clear();
+    }
     return;
   }
   auto page = store_.pin(id);
@@ -111,7 +116,8 @@ void PagedSlotStore::read_bucket(size_t bucket, std::vector<SealedSlot>& out) {
 }
 
 void PagedSlotStore::write_bucket(size_t bucket, SealedSlot* slots) {
-  store_.put(bucket_page_id(bucket), serialize_bucket(slots));
+  serialize_bucket(slots);
+  store_.put(bucket_page_id(bucket), payload_);
 }
 
 void PagedSlotStore::begin_walk(const std::vector<size_t>& buckets) {

@@ -34,9 +34,12 @@ class SlotStore {
  public:
   virtual ~SlotStore() = default;
 
-  /// Appends bucket `bucket`'s Z slots to `out`, root-of-bucket order.
-  virtual void read_bucket(size_t bucket, std::vector<SealedSlot>& out) = 0;
-  /// Replaces bucket `bucket` with `slots[0..Z)`.
+  /// Copies bucket `bucket`'s Z slots into `out[0..Z)`, reusing the
+  /// ciphertext capacity those slots already have.
+  virtual void read_bucket(size_t bucket, SealedSlot* out) = 0;
+  /// Replaces bucket `bucket` with `slots[0..Z)`. The slots may be left
+  /// holding any buffers (the RAM store swaps in its old ones) for the
+  /// caller to reuse.
   virtual void write_bucket(size_t bucket, SealedSlot* slots) = 0;
 
   /// Pins the pages of an in-flight path walk until end_walk (or the next
@@ -56,7 +59,7 @@ class RamSlotStore final : public SlotStore {
   RamSlotStore(size_t bucket_count, size_t z)
       : z_(z), slots_(bucket_count * z) {}
 
-  void read_bucket(size_t bucket, std::vector<SealedSlot>& out) override;
+  void read_bucket(size_t bucket, SealedSlot* out) override;
   void write_bucket(size_t bucket, SealedSlot* slots) override;
 
  private:
@@ -73,7 +76,7 @@ class PagedSlotStore final : public SlotStore {
   PagedSlotStore(durability::SimFs& fs, pagedstore::PagedStoreConfig config,
                  size_t z, size_t min_pool_pages);
 
-  void read_bucket(size_t bucket, std::vector<SealedSlot>& out) override;
+  void read_bucket(size_t bucket, SealedSlot* out) override;
   void write_bucket(size_t bucket, SealedSlot* slots) override;
   void begin_walk(const std::vector<size_t>& buckets) override;
   void end_walk() override { walk_pins_.clear(); }
@@ -82,12 +85,14 @@ class PagedSlotStore final : public SlotStore {
   }
 
  private:
-  Bytes serialize_bucket(const SealedSlot* slots) const;
-  void deserialize_bucket(BytesView payload, std::vector<SealedSlot>& out) const;
+  // Serializes Z slots into payload_.
+  void serialize_bucket(const SealedSlot* slots);
+  void deserialize_bucket(BytesView payload, SealedSlot* out) const;
 
   mutable pagedstore::PagedStore store_;
   size_t z_;
   std::vector<pagedstore::BufferPool::PageRef> walk_pins_;
+  Bytes payload_;  ///< one bucket page, reused by every write_bucket
 };
 
 }  // namespace hardtape::oram

@@ -177,7 +177,7 @@ BufferPool::PageRef BufferPool::fetch(const u256& id,
   return PageRef{this, &frame};
 }
 
-BufferPool::PageRef BufferPool::insert(const u256& id, Bytes payload, bool dirty) {
+BufferPool::PageRef BufferPool::insert(const u256& id, BytesView payload, bool dirty) {
   std::lock_guard lock(mu_);
   auto it = frames_.find(id);
   if (it == frames_.end()) {
@@ -191,7 +191,7 @@ BufferPool::PageRef BufferPool::insert(const u256& id, Bytes payload, bool dirty
     lru_.splice(lru_.end(), lru_, it->second->lru_pos);
   }
   Frame& frame = *it->second;
-  frame.payload = std::move(payload);
+  frame.payload.assign(payload.begin(), payload.end());
   frame.dirty = dirty;
   resident_bytes_ += frame.payload.size();
   note_resident_locked();

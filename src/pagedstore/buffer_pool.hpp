@@ -109,8 +109,9 @@ class BufferPool {
   /// Pins the page, loading it via `load` on a miss. Eviction may run first
   /// to make room; throws PoolExhaustedError when every frame is pinned.
   PageRef fetch(const u256& id, const std::function<Bytes()>& load);
-  /// Inserts (or overwrites) a page and pins it.
-  PageRef insert(const u256& id, Bytes payload, bool dirty);
+  /// Inserts (or overwrites) a page and pins it. An overwrite copies into
+  /// the frame's existing buffer.
+  PageRef insert(const u256& id, BytesView payload, bool dirty);
   bool contains(const u256& id) const;
   /// Drops the frame, discarding dirty contents (the caller is rolling
   /// back). The frame must be unpinned; no-op when absent.

@@ -91,7 +91,7 @@ Bytes PagedStore::load_page(const u256& id) const {
 
 void PagedStore::put(const u256& id, BytesView payload) {
   table_.try_emplace(id);  // keep any prior locator: that's the CoW version
-  pool_.insert(id, Bytes(payload.begin(), payload.end()), /*dirty=*/true);
+  pool_.insert(id, payload, /*dirty=*/true);
 }
 
 std::optional<Bytes> PagedStore::get(const u256& id) {

@@ -1,6 +1,8 @@
 // Known-answer and property tests for the crypto substrate.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <string>
 #include <type_traits>
 
@@ -33,6 +35,78 @@ TEST(Keccak, MultiBlockInput) {
   EXPECT_NE(h1, keccak256(std::string(501, 'a')));
   // Boundary: exactly one rate block.
   EXPECT_NE(keccak256(std::string(136, 'x')), keccak256(std::string(135, 'x')));
+}
+
+// The loop-indexed Keccak-f[1600] keccak.cpp used before its permutation
+// was unrolled, kept as the differential oracle for the unrolled one.
+void reference_keccak_f1600(uint64_t state[25]) {
+  constexpr uint64_t kRoundConstants[24] = {
+      0x0000000000000001ULL, 0x0000000000008082ULL, 0x800000000000808aULL,
+      0x8000000080008000ULL, 0x000000000000808bULL, 0x0000000080000001ULL,
+      0x8000000080008081ULL, 0x8000000000008009ULL, 0x000000000000008aULL,
+      0x0000000000000088ULL, 0x0000000080008009ULL, 0x000000008000000aULL,
+      0x000000008000808bULL, 0x800000000000008bULL, 0x8000000000008089ULL,
+      0x8000000000008003ULL, 0x8000000000008002ULL, 0x8000000000000080ULL,
+      0x000000000000800aULL, 0x800000008000000aULL, 0x8000000080008081ULL,
+      0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL};
+  constexpr int kRotations[25] = {0,  1,  62, 28, 27, 36, 44, 6,  55, 20, 3,  10, 43,
+                                  25, 39, 41, 45, 15, 21, 8,  18, 2,  61, 56, 14};
+  for (int round = 0; round < 24; ++round) {
+    uint64_t c[5], d[5];
+    for (int x = 0; x < 5; ++x) {
+      c[x] = state[x] ^ state[x + 5] ^ state[x + 10] ^ state[x + 15] ^ state[x + 20];
+    }
+    for (int x = 0; x < 5; ++x) {
+      d[x] = c[(x + 4) % 5] ^ std::rotl(c[(x + 1) % 5], 1);
+      for (int y = 0; y < 5; ++y) state[x + 5 * y] ^= d[x];
+    }
+    uint64_t b[25];
+    for (int x = 0; x < 5; ++x) {
+      for (int y = 0; y < 5; ++y) {
+        b[y + 5 * ((2 * x + 3 * y) % 5)] = std::rotl(state[x + 5 * y], kRotations[x + 5 * y]);
+      }
+    }
+    for (int x = 0; x < 5; ++x) {
+      for (int y = 0; y < 5; ++y) {
+        state[x + 5 * y] =
+            b[x + 5 * y] ^ ((~b[(x + 1) % 5 + 5 * y]) & b[(x + 2) % 5 + 5 * y]);
+      }
+    }
+    state[0] ^= kRoundConstants[round];
+  }
+}
+
+// Keccak-256 sponge (rate 136, padding 0x01 ... 0x80) over the oracle.
+H256 reference_keccak256(BytesView data) {
+  constexpr size_t kRate = 136;
+  uint64_t state[25] = {};
+  Bytes padded(data.begin(), data.end());
+  padded.resize((data.size() / kRate + 1) * kRate, 0);
+  padded[data.size()] ^= 0x01;
+  padded.back() |= 0x80;
+  for (size_t offset = 0; offset < padded.size(); offset += kRate) {
+    for (size_t i = 0; i < kRate / 8; ++i) {
+      uint64_t lane;
+      std::memcpy(&lane, padded.data() + offset + i * 8, 8);
+      state[i] ^= lane;
+    }
+    reference_keccak_f1600(state);
+  }
+  H256 out;
+  std::memcpy(out.bytes.data(), state, 32);
+  return out;
+}
+
+TEST(Keccak, UnrolledPermutationMatchesLoopOracle) {
+  Random rng(1600);
+  for (size_t len = 0; len <= 300; ++len) {  // every length across two rate blocks
+    const Bytes data = rng.bytes(len);
+    ASSERT_EQ(keccak256(data), reference_keccak256(data)) << "length " << len;
+  }
+  for (int i = 0; i < 300; ++i) {
+    const Bytes data = rng.bytes(rng.uniform(1025));  // 0..1 KiB
+    ASSERT_EQ(keccak256(data), reference_keccak256(data)) << "length " << data.size();
+  }
 }
 
 TEST(Sha256, KnownVectors) {
@@ -330,6 +404,40 @@ TYPED_TEST(GcmPathTest, EveryFlipIsRejected) {
     const Bytes shorter(out.ciphertext.begin(), out.ciphertext.end() - 1);
     EXPECT_FALSE(TestFixture::open(ctx, nonce, shorter, aad, out.tag).has_value());
     ASSERT_TRUE(TestFixture::open(ctx, nonce, out.ciphertext, aad, out.tag).has_value());
+  }
+}
+
+TYPED_TEST(GcmPathTest, PrefixOpenEqualsPrefixOfFullOpen) {
+  // An open with a decrypt length verifies the tag over every byte, writes
+  // exactly the plaintext prefix a full open gives, and leaves the rest of
+  // the output untouched; with a failed tag it writes nothing.
+  Random rng(32);
+  AesKey128 key;
+  rng.fill(key.data(), key.size());
+  const typename TestFixture::Context ctx(key);
+  for (const size_t n : {size_t{33}, size_t{200}, size_t{1056}}) {
+    GcmNonce nonce;
+    rng.fill(nonce.data(), nonce.size());
+    const Bytes pt = rng.bytes(n);
+    const Bytes aad = rng.bytes(n % 7);
+    const GcmResult sealed = TestFixture::seal(ctx, nonce, pt, aad);
+    for (const size_t len : {size_t{0}, size_t{1}, size_t{15}, size_t{16}, size_t{17},
+                             size_t{32}, n - 1, n, n + 5, kWholeMessage}) {
+      Bytes out(n, 0xee);
+      ASSERT_TRUE(ctx.open(nonce, sealed.ciphertext, aad, sealed.tag, out.data(), len))
+          << "n " << n << " len " << len;
+      Bytes want = pt;
+      const size_t written = std::min(len, n);
+      std::fill(want.begin() + static_cast<ptrdiff_t>(written), want.end(), 0xee);
+      EXPECT_EQ(out, want) << "n " << n << " len " << len;
+
+      Bytes tail_flipped = sealed.ciphertext;
+      tail_flipped.back() ^= 0x01;  // outside every prefix shorter than n
+      Bytes refused(n, 0xee);
+      EXPECT_FALSE(ctx.open(nonce, tail_flipped, aad, sealed.tag, refused.data(), len))
+          << "n " << n << " len " << len;
+      EXPECT_EQ(refused, Bytes(n, 0xee)) << "n " << n << " len " << len;
+    }
   }
 }
 

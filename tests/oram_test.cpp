@@ -2,12 +2,15 @@
 // property checks backing threat A7 and integrity checks backing A6.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <functional>
 #include <thread>
+#include <unordered_map>
 
 #include "crypto/keccak.hpp"
+#include "durability/vfs.hpp"
 #include "oram/epoch.hpp"
 #include "oram/paged_state.hpp"
 #include "oram/path_oram.hpp"
@@ -152,7 +155,8 @@ TEST_P(OramTest, ResponsesAreFixedSize) {
   // Every path read returns exactly (depth+1) * Z slots regardless of what
   // is stored — the uniform-response property.
   client_.write(bid(1), Bytes{1});
-  const auto path = server_.read_path(0);
+  std::vector<SealedSlot> path;
+  server_.read_path(0, path);
   EXPECT_EQ(path.size(), (server_.depth() + 1) * 4);
   EXPECT_GT(server_.bytes_per_access(), 0u);
 }
@@ -160,8 +164,9 @@ TEST_P(OramTest, ResponsesAreFixedSize) {
 TEST_P(OramTest, TamperedSlotDetected) {
   client_.write(bid(1), Bytes{1});
   // Corrupt every slot the server holds; the next real access must throw.
+  std::vector<SealedSlot> path;
   for (int i = 0; i < 64; ++i) {
-    auto path = server_.read_path(static_cast<uint64_t>(i) % server_.leaf_count());
+    server_.read_path(static_cast<uint64_t>(i) % server_.leaf_count(), path);
     bool corrupted = false;
     for (auto& slot : path) {
       if (!slot.ciphertext.empty()) {
@@ -169,7 +174,7 @@ TEST_P(OramTest, TamperedSlotDetected) {
         corrupted = true;
       }
     }
-    server_.write_path(static_cast<uint64_t>(i) % server_.leaf_count(), std::move(path));
+    server_.write_path(static_cast<uint64_t>(i) % server_.leaf_count(), path);
     if (corrupted) break;
   }
   EXPECT_THROW(client_.read(bid(1)), HardtapeError);
@@ -206,10 +211,12 @@ TEST_P(OramTest, ReEncryptionChangesCiphertext) {
   // Reading the same block twice must leave different ciphertexts on the
   // server (randomized re-encryption) even though the data is unchanged.
   client_.write(bid(1), Bytes{1});
-  auto snapshot1 = server_.read_path(0);
+  std::vector<SealedSlot> snapshot1;
+  std::vector<SealedSlot> snapshot2;
+  server_.read_path(0, snapshot1);
   client_.read(bid(1));
   client_.read(bid(1));
-  auto snapshot2 = server_.read_path(0);
+  server_.read_path(0, snapshot2);
   // At least the root bucket (shared by all paths) must have been resealed.
   bool any_changed = false;
   for (size_t i = 0; i < 4; ++i) {  // root bucket slots
@@ -264,13 +271,14 @@ TEST(OramClient, TamperedPathFailsClosedWithoutStashChange) {
     // Gather the whole tree bucket by bucket, tamper each slot once, reload.
     const size_t z = server.config().bucket_capacity;
     std::vector<SealedSlot> tree(server.bucket_count() * z);
+    std::vector<SealedSlot> path;
     for (uint64_t leaf = 0; leaf < server.leaf_count(); ++leaf) {
-      auto path = server.read_path(leaf);
+      server.read_path(leaf, path);
       for (size_t level = 0; level <= server.depth(); ++level) {
         const size_t bucket = ((server.leaf_count() + leaf) >> (server.depth() - level)) - 1;
         for (size_t i = 0; i < z; ++i) tree[bucket * z + i] = path[level * z + i];
       }
-      server.write_path(leaf, std::move(path));
+      server.write_path(leaf, path);
     }
     for (SealedSlot& slot : tree) {
       if (!slot.ciphertext.empty()) tampers[t](slot);
@@ -291,8 +299,9 @@ TEST(OramServer, GeometryAndValidation) {
   EXPECT_EQ(server.leaf_count(), 128u);  // rounded up to a power of two
   EXPECT_EQ(server.depth(), 7u);
   EXPECT_EQ(server.bucket_count(), 255u);
-  EXPECT_THROW(server.read_path(128), UsageError);
-  EXPECT_THROW(server.write_path(0, {}), UsageError);
+  std::vector<SealedSlot> path;
+  EXPECT_THROW(server.read_path(128, path), UsageError);
+  EXPECT_THROW(server.write_path(0, path), UsageError);
   EXPECT_THROW(OramServer(OramConfig{.capacity = 0}), UsageError);
 }
 
@@ -350,6 +359,144 @@ TEST(OramClient, AccessHookFires) {
   client.read(bid(1));
   client.read(bid(2));  // dummy access also counts
   EXPECT_EQ(hooks, 3);
+}
+
+// --- walk traffic: byte-identical slots, fail-closed id-only opens ---
+
+// A RAM tree, or a paged one over its own SimFs with a pool below the
+// tree's size, so that walks really page buckets in and out.
+struct Backend {
+  SlotBackend kind;
+  const char* name;
+};
+constexpr Backend kBackends[] = {{SlotBackend::kRam, "ram"}, {SlotBackend::kPaged, "paged"}};
+
+OramConfig walk_config(SlotBackend backend, durability::SimFs& fs) {
+  return OramConfig{.block_size = 64,
+                    .bucket_capacity = 4,
+                    .capacity = 256,
+                    .max_stash_blocks = 64,
+                    .backend = backend,
+                    .backing_fs = &fs,
+                    .buffer_pool_pages = 32,
+                    .backing_name = "walk"};
+}
+
+void append_u64(Bytes& out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+// Keccak over the observed leaf sequence, then every slot of the tree as
+// nonce || tag || ciphertext, path by path in leaf order (root first).
+H256 traffic_digest(OramServer& server) {
+  Bytes all;
+  for (const uint64_t leaf : server.observed_leaves()) append_u64(all, leaf);
+  std::vector<SealedSlot> path;
+  for (uint64_t leaf = 0; leaf < server.leaf_count(); ++leaf) {
+    server.read_path(leaf, path);
+    for (const SealedSlot& slot : path) {
+      all.insert(all.end(), slot.nonce.begin(), slot.nonce.end());
+      all.insert(all.end(), slot.tag.begin(), slot.tag.end());
+      append(all, slot.ciphertext);
+    }
+    server.write_path(leaf, path);
+  }
+  return crypto::keccak256(all);
+}
+
+TEST(OramWalk, SeededOpMixLeavesByteIdenticalTraffic) {
+  // Writes, reads, reads of unknown ids and access_remove from one seed.
+  // The digest of every slot the server holds and of every leaf it saw is
+  // pinned: the same nonce draws, ciphertexts and leaves as the walk that
+  // opened every slot in full and copied the path out of the store.
+  for (const Backend& backend : kBackends) {
+    durability::SimFs fs;
+    OramServer server(walk_config(backend.kind, fs));
+    OramClient client(server, test_key(), 2024);
+    Random rng(77);
+    std::unordered_map<uint64_t, Bytes> model;
+    for (int step = 0; step < 600; ++step) {
+      const uint64_t key = rng.uniform(48);
+      const uint64_t op = rng.uniform(8);
+      if (op < 3) {
+        Bytes data = rng.bytes(1 + rng.uniform(64));
+        client.write(bid(key), data);
+        data.resize(64, 0);
+        model[key] = std::move(data);
+      } else if (op < 6) {
+        const auto back = client.read(bid(key));
+        ASSERT_EQ(back.has_value(), model.contains(key)) << backend.name << " step " << step;
+        if (back.has_value()) {
+          EXPECT_EQ(*back, model.at(key)) << backend.name;
+        }
+      } else if (op == 6) {
+        EXPECT_FALSE(client.read(bid(1000 + key)).has_value()) << backend.name;
+      } else {
+        const auto removed = client.access_remove(bid(key));
+        ASSERT_EQ(removed.has_value(), model.contains(key)) << backend.name << " step " << step;
+        if (removed.has_value()) {
+          EXPECT_EQ(*removed, model.at(key)) << backend.name;
+        }
+        model.erase(key);
+      }
+    }
+    EXPECT_EQ(server.access_count(), 600u) << backend.name;
+    EXPECT_EQ(traffic_digest(server).hex(),
+              "cf8561d13064bc219fa17aa6316dc170a8842a2ab34e7b9bc69c75c0b0a22996")
+        << backend.name;
+  }
+}
+
+TEST(OramWalk, TamperedDummyTailFailsClosedOnEveryAccessKind) {
+  // An id-only open still authenticates the whole slot. Flip the last
+  // ciphertext byte (one no id-only open decrypts) of a dummy in the root
+  // bucket, which is on every path: real accesses, removals and dummy
+  // accesses all fail closed and leave the stash as it was; flipping the
+  // byte back restores every block.
+  for (const Backend& backend : kBackends) {
+    durability::SimFs fs;
+    OramServer server(walk_config(backend.kind, fs));
+    OramClient client(server, test_key(), 5);
+    for (uint64_t i = 0; i < 24; ++i) client.write(bid(i), Bytes(8, static_cast<uint8_t>(i)));
+
+    const crypto::AesGcm gcm(test_key());
+    const size_t z = server.config().bucket_capacity;
+    std::vector<SealedSlot> path;
+    server.read_path(0, path);
+    size_t dummy = z;
+    Bytes plain;
+    for (size_t i = 0; i < z && dummy == z; ++i) {
+      ASSERT_TRUE(open_slot(gcm, path[i], plain)) << backend.name;
+      if (std::all_of(plain.begin(), plain.begin() + 32, [](uint8_t b) { return b == 0xff; })) {
+        dummy = i;
+      }
+    }
+    ASSERT_LT(dummy, z) << backend.name << ": no dummy in the root bucket";
+    path[dummy].ciphertext.back() ^= 1;
+    server.write_path(0, path);
+
+    const size_t stash = client.stash_size();
+    for (const uint64_t i : {3, 9, 17}) {
+      EXPECT_EQ(client.try_read(bid(i)).status, Status::kAuthFailed) << backend.name << " " << i;
+      EXPECT_EQ(client.stash_size(), stash) << backend.name << " " << i;
+    }
+    EXPECT_EQ(client.try_write(bid(4), Bytes{1}).status, Status::kAuthFailed) << backend.name;
+    EXPECT_THROW(client.access_remove(bid(5)), IntegrityError) << backend.name;
+    EXPECT_EQ(client.try_read(bid(500)).status, Status::kAuthFailed) << backend.name;
+    EXPECT_EQ(client.stash_size(), stash) << backend.name;
+    EXPECT_EQ(client.block_count(), 24u) << backend.name;
+
+    server.read_path(0, path);
+    path[dummy].ciphertext.back() ^= 1;
+    server.write_path(0, path);
+    for (uint64_t i = 0; i < 24; ++i) {
+      const auto back = client.read(bid(i));
+      ASSERT_TRUE(back.has_value()) << backend.name << " block " << i;
+      EXPECT_EQ(Bytes(back->begin(), back->begin() + 8), Bytes(8, static_cast<uint8_t>(i)))
+          << backend.name << " block " << i;
+    }
+    EXPECT_FALSE(client.read(bid(500)).has_value()) << backend.name;
+  }
 }
 
 // --- paged world state ---
